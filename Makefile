@@ -75,11 +75,7 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro perf bench --preset smoke \
-	    --workloads crf_nll crf_decode rnn_forward rnn_backward \
-	        store_roundtrip serve_throughput \
-	    --check benchmarks/BENCH_baseline.json --threshold 1.0 \
-	    --output /tmp/bench_smoke.json
+	PYTHONPATH=src $(PYTHON) -m pytest repobench/tests -q
 
 bench-tables-smoke:
 	REPRO_SCALE=smoke $(PYTHON) -m pytest benchmarks/ --benchmark-only -s

@@ -13,9 +13,6 @@ Commands:
   ``--deadline-ms`` budgets, graceful degradation);
 * ``validate``   — lint a CoNLL file, reporting every defect with file
   and line number (non-zero exit when defects exist);
-* ``perf bench`` — time the fast-path benchmark workloads, write a
-  ``BENCH_<rev>.json`` report and optionally fail on regressions
-  against a committed baseline (``--check``);
 * ``chaos soak`` — loop the cross-layer chaos scenarios (worker
   crashes/hangs, NaN gradients, checkpoint corruption, serving fault
   bursts) under a time/round budget and fail on any broken invariant;
@@ -28,27 +25,25 @@ Commands:
 * ``store``      — inspect/maintain a persistent store directory
   (``stats``, ``verify``, ``compact``).
 
-The ``train``, ``evaluate``, ``experiment``, ``tag`` and ``perf
-bench`` commands accept ``--telemetry PATH``: the whole command runs
-inside a :mod:`repro.obs` telemetry session and appends spans, events
-and a final metrics snapshot to ``PATH`` as JSON lines.  Telemetry
+The ``train``, ``evaluate``, ``experiment`` and ``tag`` commands
+accept ``--telemetry PATH``: the whole command runs inside a
+:mod:`repro.obs` telemetry session and appends spans, events and a
+final metrics snapshot to ``PATH`` as JSON lines.  Telemetry
 never changes results — scores are bit-identical with it on or off.
 
-The ``train``, ``evaluate``, ``tag``, ``serve``, ``loadgen`` and
-``perf bench`` commands accept ``--store-dir DIR``: expensive frozen
-computations (embedding matrices, contextual features, adaptation
-encoder passes, decoded paths) are persisted in a crash-safe
-content-addressed store and reused across runs.  Like telemetry, the
-store never changes results — cache hits are bit-identical to
-recomputing, and any store fault degrades to recompute
-(``docs/store.md``).
+The ``train``, ``evaluate``, ``tag``, ``serve`` and ``loadgen``
+commands accept ``--store-dir DIR``: expensive frozen computations
+(embedding matrices, contextual features, adaptation encoder passes,
+decoded paths) are persisted in a crash-safe content-addressed store
+and reused across runs.  Like telemetry, the store never changes
+results — cache hits are bit-identical to recomputing, and any store
+fault degrades to recompute (``docs/store.md``).
 
 Examples::
 
     repro tag model.npz --input corpus.conll --conll --deadline-ms 50
     echo "Kavox visited Zuqev" | repro tag model.npz
     repro validate corpus.conll --scheme bio
-    repro perf bench --preset smoke --check benchmarks/BENCH_baseline.json
     repro chaos soak --max-rounds 1 --seed 0
     repro experiment table2 --preset smoke --telemetry run.jsonl
     repro obs report run.jsonl
@@ -530,44 +525,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf_bench(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.perf import bench
-
-    workloads = tuple(args.workloads) if args.workloads else None
-    try:
-        document = bench.run_bench(
-            preset=args.preset, workloads=workloads,
-            workers=args.workers, seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(bench.render(document))
-    output = args.output
-    if output is None:
-        output = f"BENCH_{document['revision']}.json"
-    bench.write_result(document, output)
-    print(f"wrote {output}")
-    if args.check:
-        if not os.path.exists(args.check):
-            print(f"error: baseline {args.check!r} does not exist",
-                  file=sys.stderr)
-            return 2
-        regressions = bench.compare(
-            document, bench.load_result(args.check),
-            threshold=args.threshold,
-        )
-        if regressions:
-            for message in regressions:
-                print(f"regression: {message}", file=sys.stderr)
-            return 1
-        print(f"no regressions against {args.check} "
-              f"(threshold {args.threshold:.0%})")
-    return 0
-
-
 def cmd_obs_report(args: argparse.Namespace) -> int:
     import os
 
@@ -897,33 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_args(p)
     _add_store_arg(p)
     p.set_defaults(func=cmd_loadgen)
-
-    p = sub.add_parser("perf", help="performance tools")
-    perf_sub = p.add_subparsers(dest="perf_command", required=True)
-    p = perf_sub.add_parser(
-        "bench",
-        help="time the fast-path workloads; write BENCH_<rev>.json",
-    )
-    p.add_argument("--preset", choices=("smoke", "default"),
-                   default="default",
-                   help="repetition counts (smoke is CI-sized)")
-    p.add_argument("--workloads", nargs="+", default=None,
-                   metavar="NAME",
-                   help="subset of workloads to run (default: all)")
-    p.add_argument("--output", default=None,
-                   help="result path (default: BENCH_<rev>.json)")
-    p.add_argument("--check", default=None, metavar="BASELINE",
-                   help="compare against a baseline BENCH json; exit 1 "
-                        "on regression")
-    p.add_argument("--threshold", type=float, default=0.3,
-                   help="allowed fast-path slowdown vs the baseline "
-                        "(fraction; default 0.3)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="worker count for the episode_eval workload")
-    p.add_argument("--seed", type=int, default=0)
-    _add_telemetry_arg(p)
-    _add_store_arg(p)
-    p.set_defaults(func=cmd_perf_bench)
 
     p = sub.add_parser("chaos", help="chaos/soak testing tools")
     chaos_sub = p.add_subparsers(dest="chaos_command", required=True)

@@ -128,14 +128,18 @@ class LinearChainCRF(Module):
 
         When the fused fast path is enabled (see
         :func:`repro.perf.fastpath.fastpath`) this delegates to
-        :meth:`batch_nll_fast`, which computes the same mean NLL and
-        first-order gradients as a single tape node.
+        :func:`repro.perf.kernels.crf_nll_fused`, which computes the same
+        mean NLL and first-order gradients as a single tape node
+        (first-order only: backward with ``create_graph=True`` raises
+        ``RuntimeError``).
         """
         from repro.autodiff.tensor import where
         from repro.perf.fastpath import fused_nll_enabled
 
         if fused_nll_enabled():
-            return self.batch_nll_fast(emissions, tags, mask)
+            from repro.perf.kernels import crf_nll_fused
+
+            return crf_nll_fused(self, emissions, tags, mask)
 
         tags = np.asarray(tags, dtype=np.intp)
         mask = np.asarray(mask, dtype=float)
@@ -177,19 +181,6 @@ class LinearChainCRF(Module):
         nll = log_z - gold
         return nll.sum() / Tensor(np.array(float(batch)))
 
-    def batch_nll_fast(self, emissions: Tensor, tags: np.ndarray,
-                       mask: np.ndarray) -> Tensor:
-        """Mean NLL over a padded batch as one fused tape node.
-
-        Numerically equivalent to :meth:`batch_nll_padded` (same value,
-        same first-order gradients, from one numpy forward-backward pass)
-        but the autodiff graph collapses to a single node.  First-order
-        only: backward with ``create_graph=True`` raises ``RuntimeError``.
-        """
-        from repro.perf.kernels import crf_nll_fused
-
-        return crf_nll_fused(self, emissions, tags, mask)
-
     # ------------------------------------------------------------------
     # Decoding (pure numpy; no gradients needed)
     # ------------------------------------------------------------------
@@ -202,13 +193,9 @@ class LinearChainCRF(Module):
         """
         from repro.perf.kernels import viterbi_decode_batch
 
-        self._check_num_tags(emissions)
+        self._check_emissions(emissions)
         return viterbi_decode_batch(
-            self.transitions.data + self._transition_penalty,
-            self.start_scores.data + self._start_penalty,
-            self.end_scores.data,
-            emissions,
-            mask,
+            *self._constrained_scores(), emissions, mask
         )
 
     def argmax_decode_batch(self, emissions, mask) -> list[list[int]]:
@@ -220,42 +207,53 @@ class LinearChainCRF(Module):
         """
         from repro.perf.kernels import argmax_decode_batch
 
-        self._check_num_tags(emissions)
+        self._check_emissions(emissions)
         return argmax_decode_batch(
+            *self._constrained_scores(), emissions, mask
+        )
+
+    def _constrained_scores(self) -> tuple[np.ndarray, ...]:
+        """``(transitions, start, end)`` score arrays, BIO masks applied."""
+        return (
             self.transitions.data + self._transition_penalty,
             self.start_scores.data + self._start_penalty,
             self.end_scores.data,
-            emissions,
-            mask,
         )
 
-    def _check_num_tags(self, emissions) -> None:
-        data = emissions.data if isinstance(emissions, Tensor) else emissions
-        num_tags = np.asarray(data).shape[-1]
-        if num_tags != self.num_tags:
+    def _check_emissions(self, emissions) -> np.ndarray:
+        """``(..., L, T)`` emission scores as an array, or ``ValueError``.
+
+        Every decode route rejects a wrong tag count or a zero-length
+        sequence with the same error the batched kernels raise.
+        """
+        data = np.asarray(
+            emissions.data if isinstance(emissions, Tensor) else emissions
+        )
+        if data.ndim < 2:
             raise ValueError(
-                f"emissions have {num_tags} tags, CRF expects {self.num_tags}"
+                f"emissions need (..., L, T) shape, got {data.shape}"
             )
+        if data.shape[-1] != self.num_tags:
+            raise ValueError(
+                f"emissions have {data.shape[-1]} tags, "
+                f"CRF expects {self.num_tags}"
+            )
+        if data.shape[-2] == 0:
+            raise ValueError("every sequence must have at least one token")
+        return data
 
     def viterbi_decode(self, emissions: np.ndarray) -> list[int]:
         """Most-likely tag sequence for ``(L, T)`` emission scores."""
-        emissions = np.asarray(
-            emissions.data if isinstance(emissions, Tensor) else emissions
-        )
+        emissions = self._check_emissions(emissions)
         length, num_tags = emissions.shape
-        if num_tags != self.num_tags:
-            raise ValueError(
-                f"emissions have {num_tags} tags, CRF expects {self.num_tags}"
-            )
-        trans = self.transitions.data + self._transition_penalty
-        start = self.start_scores.data + self._start_penalty
+        trans, start, end = self._constrained_scores()
         score = start + emissions[0]
         backptr = np.zeros((length, num_tags), dtype=np.intp)
         for t in range(1, length):
             candidate = score[:, None] + trans  # (from, to)
             backptr[t] = candidate.argmax(axis=0)
             score = candidate.max(axis=0) + emissions[t]
-        score = score + self.end_scores.data
+        score = score + end
         best = [int(score.argmax())]
         for t in range(length - 1, 0, -1):
             best.append(int(backptr[t, best[-1]]))
@@ -273,24 +271,17 @@ class LinearChainCRF(Module):
         answer the serving layer falls back to when a request's deadline
         cannot afford full Viterbi (see ``docs/serving.md``).
         """
-        emissions = np.asarray(
-            emissions.data if isinstance(emissions, Tensor) else emissions
-        )
-        length, num_tags = emissions.shape
-        if num_tags != self.num_tags:
-            raise ValueError(
-                f"emissions have {num_tags} tags, CRF expects {self.num_tags}"
-            )
-        trans = self.transitions.data + self._transition_penalty
-        start = self.start_scores.data + self._start_penalty
+        emissions = self._check_emissions(emissions)
+        length = emissions.shape[0]
+        trans, start, end = self._constrained_scores()
         scores = start + emissions[0]
         if length == 1:
-            scores = scores + self.end_scores.data
+            scores = scores + end
         tags = [int(scores.argmax())]
         for t in range(1, length):
             scores = trans[tags[-1]] + emissions[t]
             if t == length - 1:
-                scores = scores + self.end_scores.data
+                scores = scores + end
             tags.append(int(scores.argmax()))
         return tags
 
@@ -303,18 +294,15 @@ class LinearChainCRF(Module):
         best-first and its extensions shift every score by the same
         constant, so the merge pops exactly k winners instead of sorting
         all ``T * k`` candidates.  Tie-breaking matches the full-sort
-        scan (:meth:`_viterbi_top_k_reference`): equal scores prefer the
-        smaller previous tag, then the better rank within its beam.
+        scan it replaced (kept as the test oracle in
+        ``tests/reference/crf.py``): equal scores prefer the smaller
+        previous tag, then the better rank within its beam.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        emissions = np.asarray(
-            emissions.data if isinstance(emissions, Tensor) else emissions
-        )
+        emissions = self._check_emissions(emissions)
         length, num_tags = emissions.shape
-        self._check_num_tags(emissions)
-        trans = self.transitions.data + self._transition_penalty
-        start = self.start_scores.data + self._start_penalty
+        trans, start, end = self._constrained_scores()
         # beams[tag] = list of (score, path) kept sorted best-first.
         beams: list[list[tuple[float, list[int]]]] = [
             [(float(start[t] + emissions[0, t]), [t])] for t in range(num_tags)
@@ -351,7 +339,7 @@ class LinearChainCRF(Module):
             beams = new_beams
         finals = [
             (
-                -(beams[tag][rank][0] + float(self.end_scores.data[tag])),
+                -(beams[tag][rank][0] + float(end[tag])),
                 tag,
                 rank,
             )
@@ -363,55 +351,11 @@ class LinearChainCRF(Module):
             for neg_score, tag, rank in heapq.nsmallest(k, finals)
         ]
 
-    def _viterbi_top_k_reference(self, emissions: np.ndarray,
-                                 k: int = 3) -> list[tuple[list[int], float]]:
-        """The original O(T²·k log(T·k)) full-sort list-Viterbi scan.
-
-        Kept as the parity oracle for :meth:`viterbi_top_k` — the heap
-        merge must reproduce its output, ties included, exactly.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        emissions = np.asarray(
-            emissions.data if isinstance(emissions, Tensor) else emissions
-        )
-        length, num_tags = emissions.shape
-        self._check_num_tags(emissions)
-        trans = self.transitions.data + self._transition_penalty
-        start = self.start_scores.data + self._start_penalty
-        beams: list[list[tuple[float, list[int]]]] = [
-            [(float(start[t] + emissions[0, t]), [t])] for t in range(num_tags)
-        ]
-        for step in range(1, length):
-            new_beams: list[list[tuple[float, list[int]]]] = []
-            for tag in range(num_tags):
-                candidates: list[tuple[float, list[int]]] = []
-                for prev_tag in range(num_tags):
-                    for score, path in beams[prev_tag]:
-                        candidates.append(
-                            (
-                                score + trans[prev_tag, tag]
-                                + emissions[step, tag],
-                                path + [tag],
-                            )
-                        )
-                candidates.sort(key=lambda item: item[0], reverse=True)
-                new_beams.append(candidates[:k])
-            beams = new_beams
-        finals: list[tuple[float, list[int]]] = []
-        for tag in range(num_tags):
-            for score, path in beams[tag]:
-                finals.append((score + float(self.end_scores.data[tag]), path))
-        finals.sort(key=lambda item: item[0], reverse=True)
-        return [(path, score) for score, path in finals[:k]]
-
     def marginals(self, emissions: Tensor) -> np.ndarray:
         """Posterior tag marginals ``(L, T)`` via forward-backward (numpy)."""
         e = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions)
         length = e.shape[0]
-        trans = self.transitions.data + self._transition_penalty
-        start = self.start_scores.data + self._start_penalty
-        end = self.end_scores.data
+        trans, start, end = self._constrained_scores()
 
         def lse(x, axis):
             m = x.max(axis=axis, keepdims=True)

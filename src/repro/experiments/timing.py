@@ -13,9 +13,10 @@ steps are cheap and constant across shot counts, adaptation touches only
 φ, cost grows linearly with data size — are asserted by the benchmark.
 
 Timers route through :func:`repro.obs.measure`, so every number is a
-median with inter-quartile range (the same convention as
-``repro perf bench``) rather than a best-case minimum, and each timed
-repetition shows up as a span when a telemetry session is active.
+median with inter-quartile range rather than a best-case minimum, and
+each timed repetition shows up as a span when a telemetry session is
+active.  The cross-commit benchmark of the shipped system is
+``repobench/`` at the repository root.
 """
 
 from __future__ import annotations

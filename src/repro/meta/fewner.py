@@ -55,7 +55,6 @@ class FewNER(Adapter):
                      create_graph: bool) -> Tensor:
         """Run the inner loop on the support set; returns adapted φ_k."""
         from repro import obs
-        from repro.perf.fastpath import adaptation_cache_enabled
 
         with obs.span("encode"):
             batch = self.model.encode(list(episode.support), episode.scheme)
@@ -69,8 +68,7 @@ class FewNER(Adapter):
             else self.model.loss
         )
         base = None
-        if (not create_graph and not self.model.training
-                and adaptation_cache_enabled()):
+        if not create_graph and not self.model.training:
             # θ is frozen and its gradients are never materialised here
             # (first-order, grad w.r.t. φ only), and dropout is inactive,
             # so the φ-independent encoder pass is constant across the

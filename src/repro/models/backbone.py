@@ -292,23 +292,17 @@ class CNNBiGRUCRF(Module):
                phi: Tensor | None = None) -> list[list[int]]:
         """Viterbi tag sequences for raw sentences (``[]`` for ``[]``).
 
-        Uses the batch-vectorised Viterbi kernel (bit-identical to the
-        per-sentence recursion) unless
-        :func:`repro.perf.fastpath.legacy_kernels` is active.
+        Uses the batch-vectorised Viterbi kernel, bit-identical to the
+        per-sentence recursion.
         """
-        from repro.perf.fastpath import batched_decode_enabled
-
         if not sentences:
             return []
         was_training = self.training
         self.eval()
         try:
             batch = self.encode(sentences)
-            if batched_decode_enabled():
-                scores = self.emission_scores(batch, phi)
-                return self.crf.viterbi_decode_batch(scores.data, batch.mask)
-            emissions = self.emissions(batch, phi)
-            return [self.crf.viterbi_decode(e.data) for e in emissions]
+            scores = self.emission_scores(batch, phi)
+            return self.crf.viterbi_decode_batch(scores.data, batch.mask)
         finally:
             self.train(was_training)
 

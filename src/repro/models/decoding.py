@@ -60,20 +60,13 @@ def decode_emissions_within(
     When no deadline or hook is in play and Viterbi is allowed, the whole
     batch goes through the vectorised kernel in one shot (statuses all
     ``FULL``) — bit-identical paths, no per-sentence Python loop.
-    """
-    from repro.perf.fastpath import batched_decode_enabled
 
-    emissions = list(emissions)
-    if (
-        deadline is None
-        and on_sentence is None
-        and allow_viterbi
-        and emissions
-        and batched_decode_enabled()
-    ):
-        arrays = [
-            np.asarray(e.data if hasattr(e, "data") else e) for e in emissions
-        ]
+    Malformed emissions (wrong tag count, zero length) are the caller's
+    error, not a decoder failure: every route raises the CRF's
+    ``ValueError`` before decoding anything.
+    """
+    arrays = [crf._check_emissions(e) for e in emissions]
+    if deadline is None and on_sentence is None and allow_viterbi and arrays:
         lengths = [a.shape[0] for a in arrays]
         max_len, num_tags = max(lengths), arrays[0].shape[1]
         padded = np.zeros((len(arrays), max_len, num_tags))
@@ -86,8 +79,7 @@ def decode_emissions_within(
 
     paths: list[list[int]] = []
     statuses: list[str] = []
-    for i, e in enumerate(emissions):
-        data = np.asarray(e.data if hasattr(e, "data") else e)
+    for i, data in enumerate(arrays):
         path: list[int] | None = None
         if not allow_viterbi:
             status = DEGRADED_BREAKER

@@ -1,10 +1,9 @@
 """Shared timing measurement: median + IQR over repeated calls.
 
-This is the one convention for wall-time numbers in the repo — the perf
-bench (:mod:`repro.perf.bench`) and the paper-timing table
-(:mod:`repro.experiments.timing`) both route through :func:`measure`, so
-their numbers are directly comparable.  ``min(timings)`` is deliberately
-not offered: the minimum under-reports steady-state cost and is what
+This is the one convention for repeated wall-time numbers in the
+package: the paper-timing table (:mod:`repro.experiments.timing`) routes
+through :func:`measure`.  ``min(timings)`` is deliberately not offered:
+the minimum under-reports steady-state cost and is what
 ``experiments/timing.py`` used to ship.
 
 :class:`TimingStat` subclasses ``float`` (the median), so existing code

@@ -1,25 +1,23 @@
-"""Performance layer: vectorised kernels, parallel evaluation, benchmarks.
+"""Performance layer: vectorised kernels and parallel evaluation.
 
-Three coordinated pieces:
+Two coordinated pieces:
 
 * :mod:`repro.perf.kernels` + :mod:`repro.perf.rnn_kernels` +
   :mod:`repro.perf.fastpath` — batched CRF Viterbi/greedy decode
-  (bit-identical to the per-sentence recursions, on by default), a fused
+  (bit-identical to the per-sentence recursions), a fused
   first-order CRF NLL (opt-in via
-  :func:`~repro.perf.fastpath.fastpath`), fused single-tape-node GRU/LSTM
-  scans with hand-derived BPTT backwards (on by default, bit-identical
-  in outputs *and* gradients), and the frozen-encoder adaptation cache
-  (on by default, bit-identical);
+  :func:`~repro.perf.fastpath.fastpath`) and fused single-tape-node
+  GRU/LSTM scans with hand-derived BPTT backwards (on by default,
+  bit-identical in outputs *and* gradients);
 * :mod:`repro.perf.executor` — a fork-based, deterministic, *supervised*
   worker pool (per-task deadlines, crash/hang detection, bounded
   retries, poison-episode quarantine, :class:`ExecutionReport`
   accounting) used to fan adaptation episodes across cores in
-  :func:`repro.meta.evaluate.evaluate_method` and the table runners;
-* :mod:`repro.perf.bench` — the ``repro perf bench`` workload timer and
-  ``BENCH_<rev>.json`` regression harness (imported lazily: it pulls in
-  the model stack).
+  :func:`repro.meta.evaluate.evaluate_method` and the table runners.
 
-See ``docs/performance.md`` for the design and guarantees.
+See ``docs/performance.md`` for the design and guarantees; the
+benchmark that times them across commits is ``repobench/`` at the
+repository root.
 """
 
 from repro.perf.executor import (
@@ -30,12 +28,9 @@ from repro.perf.executor import (
 )
 from repro.perf.fastpath import (
     DEFAULT_FASTPATH_STATE,
-    adaptation_cache_enabled,
-    batched_decode_enabled,
     fastpath,
     fastpath_state,
     fused_nll_enabled,
-    legacy_kernels,
     recurrent_kernel,
     recurrent_kernel_enabled,
 )
@@ -46,12 +41,9 @@ __all__ = [
     "ExecutorError",
     "TaskRecord",
     "DEFAULT_FASTPATH_STATE",
-    "adaptation_cache_enabled",
-    "batched_decode_enabled",
     "fastpath",
     "fastpath_state",
     "fused_nll_enabled",
-    "legacy_kernels",
     "recurrent_kernel",
     "recurrent_kernel_enabled",
 ]

@@ -1,15 +1,10 @@
 """Thread-local switches that select the performance fast paths.
 
-Four independent toggles, scoped with context managers so callers can
-never leak a mode change past their own frame:
+Two independent toggles, scoped with context managers so callers can
+never leak a mode change past their own frame.  Each exists because
+the fast path is first-order only, so second-order work must be able
+to turn it off:
 
-* **Batched decode** (default *on*): Viterbi / greedy decoding of a batch
-  runs as one vectorised recursion over ``(B, L, T)`` score tensors
-  instead of a per-sentence Python loop.  The batched kernels perform the
-  same float additions and the same ``argmax`` tie-breaking as the
-  per-sentence recursions, so the decoded paths are bit-identical and the
-  switch exists only for benchmarking and parity testing
-  (:func:`legacy_kernels`).
 * **Fused CRF NLL** (default *off*): the batched negative log-likelihood
   is computed by one fused numpy kernel with an analytic first-order
   gradient (forward-backward marginals) instead of a composite autodiff
@@ -18,7 +13,7 @@ never leak a mode change past their own frame:
   with respect to the tape — second-order differentiation through it is
   undefined and is rejected at backprop time.  Enable it with
   :func:`fastpath` around first-order work only (evaluation-time
-  adaptation, supervised training, benchmarking).
+  adaptation, supervised training).
 * **Recurrent kernel** (default *on*): GRU/LSTM layers unroll the whole
   sequence inside one fused numpy scan registered as a *single* tape
   node with a hand-derived BPTT backward (``repro.perf.rnn_kernels``),
@@ -26,16 +21,10 @@ never leak a mode change past their own frame:
   the same float operations in the same order as the tape, so outputs
   *and* parameter gradients are bit-identical — but like the fused NLL
   the analytic backward is first-order only; second-order
-  differentiation through it is rejected at backprop time.
-* **Adaptation cache** (default *on*): during first-order, dropout-free
-  inner-loop adaptation the φ-independent encoder pass (embeddings,
-  char-CNN, BiGRU) is computed once per episode and reused as a
-  constant across the inner gradient steps.  θ is frozen there and its
-  gradients are discarded, so the cached activations are bit-identical
-  to recomputing them — the losses, φ gradients and final predictions
-  do not change.  The switch exists for benchmarking and parity tests.
+  differentiation through it is rejected at backprop time, so
+  second-order MAML runs under ``recurrent_kernel(False)``.
 
-All switches are thread-local; a forked worker process inherits the
+Both switches are thread-local; a forked worker process inherits the
 state its parent had at fork time.
 """
 
@@ -46,64 +35,53 @@ import threading
 
 _state = threading.local()
 
-
-def fused_nll_enabled() -> bool:
-    """Whether the fused first-order CRF NLL kernel is active."""
-    return getattr(_state, "fused_nll", False)
-
-
-def batched_decode_enabled() -> bool:
-    """Whether batch-vectorised Viterbi/greedy decoding is active."""
-    return getattr(_state, "batched_decode", True)
-
-
-def adaptation_cache_enabled() -> bool:
-    """Whether the frozen-encoder adaptation cache is active."""
-    return getattr(_state, "adaptation_cache", True)
-
-
-def recurrent_kernel_enabled() -> bool:
-    """Whether the fused single-node recurrent (GRU/LSTM) kernel is active."""
-    return getattr(_state, "recurrent_kernel", True)
-
-
 #: The documented default of every switch; chaos invariants compare
 #: :func:`fastpath_state` against this to prove no scenario leaked a
 #: mode change past its own frame.
 DEFAULT_FASTPATH_STATE = {
     "fused_nll": False,
-    "batched_decode": True,
-    "adaptation_cache": True,
     "recurrent_kernel": True,
 }
 
 
+def _enabled(name: str) -> bool:
+    return getattr(_state, name, DEFAULT_FASTPATH_STATE[name])
+
+
+def fused_nll_enabled() -> bool:
+    """Whether the fused first-order CRF NLL kernel is active."""
+    return _enabled("fused_nll")
+
+
+def recurrent_kernel_enabled() -> bool:
+    """Whether the fused single-node recurrent (GRU/LSTM) kernel is active."""
+    return _enabled("recurrent_kernel")
+
+
 def fastpath_state() -> dict:
     """Snapshot of every fast-path switch in this thread."""
-    return {
-        "fused_nll": fused_nll_enabled(),
-        "batched_decode": batched_decode_enabled(),
-        "adaptation_cache": adaptation_cache_enabled(),
-        "recurrent_kernel": recurrent_kernel_enabled(),
-    }
+    return {name: _enabled(name) for name in DEFAULT_FASTPATH_STATE}
 
 
 @contextlib.contextmanager
+def _scoped(name: str, enabled: bool):
+    prev = _enabled(name)
+    setattr(_state, name, bool(enabled))
+    try:
+        yield
+    finally:
+        setattr(_state, name, prev)
+
+
 def fastpath(enabled: bool = True):
     """Enable (or disable) the fused CRF NLL kernel inside the block.
 
     First-order only: calling ``grad(..., create_graph=True)`` through a
     loss produced under this context raises ``RuntimeError``.
     """
-    prev = fused_nll_enabled()
-    _state.fused_nll = bool(enabled)
-    try:
-        yield
-    finally:
-        _state.fused_nll = prev
+    return _scoped("fused_nll", enabled)
 
 
-@contextlib.contextmanager
 def recurrent_kernel(enabled: bool = True):
     """Enable (or disable) the fused recurrent kernel inside the block.
 
@@ -112,34 +90,4 @@ def recurrent_kernel(enabled: bool = True):
     requested input) raises ``RuntimeError``; disable the kernel around
     such work instead.
     """
-    prev = recurrent_kernel_enabled()
-    _state.recurrent_kernel = bool(enabled)
-    try:
-        yield
-    finally:
-        _state.recurrent_kernel = prev
-
-
-@contextlib.contextmanager
-def legacy_kernels():
-    """Run with every fast path off: per-sentence decode, composite NLL,
-    per-timestep recurrent tape ops.
-
-    Used by the benchmark harness to time the pre-fastpath implementations
-    and by parity tests as the reference side.
-    """
-    prev = (
-        fused_nll_enabled(),
-        batched_decode_enabled(),
-        adaptation_cache_enabled(),
-        recurrent_kernel_enabled(),
-    )
-    _state.fused_nll = False
-    _state.batched_decode = False
-    _state.adaptation_cache = False
-    _state.recurrent_kernel = False
-    try:
-        yield
-    finally:
-        (_state.fused_nll, _state.batched_decode,
-         _state.adaptation_cache, _state.recurrent_kernel) = prev
+    return _scoped("recurrent_kernel", enabled)

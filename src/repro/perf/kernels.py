@@ -254,9 +254,7 @@ def crf_nll_fused(crf, emissions: Tensor, tags, mask) -> Tensor:
         )
     if tags.shape != (batch, length):
         raise ValueError("tags/mask shape mismatch with emissions")
-    trans = crf.transitions.data + crf._transition_penalty
-    start = crf.start_scores.data + crf._start_penalty
-    end = crf.end_scores.data
+    trans, start, end = crf._constrained_scores()
     value, d_em, d_trans, d_start, d_end = _nll_and_grads(
         trans, start, end, data, tags, mask
     )

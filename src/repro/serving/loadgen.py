@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.obs.metrics import (  # noqa: F401  (re-export for back-compat)
+from repro.obs.metrics import (
     LATENCY_MS_BUCKETS,
     Histogram,
     histogram_quantile,

@@ -91,8 +91,7 @@ def _replica_main(replica_id: int, generation: int, request_q, response_q):
                 break
             if message is None or message[0] == "stop":
                 break
-            _kind, ticket, tokens, deadline_ms, priority = message[:5]
-            trace = message[5] if len(message) > 5 else None
+            _kind, ticket, tokens, deadline_ms, priority, trace = message
             try:
                 # Equality, not identity: the sentinel was pickled
                 # through the request queue.

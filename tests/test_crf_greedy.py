@@ -83,3 +83,49 @@ class TestStructuralLegality:
         crf = LinearChainCRF(3, rng)
         with pytest.raises(ValueError, match="expects 3"):
             crf.argmax_decode(rng.normal(size=(4, 5)))
+
+
+class _OpenDeadline:
+    """A deadline with budget left: forces the per-sentence route."""
+
+    expired = False
+
+
+def _within(**kwargs):
+    from repro.models.decoding import decode_emissions_within
+
+    def route(crf, emissions):
+        # A well-formed sentence first: the bad one must still raise.
+        good = np.zeros((3, crf.num_tags))
+        return decode_emissions_within(crf, [good, emissions], **kwargs)
+    return route
+
+
+DECODE_ROUTES = {
+    "viterbi": lambda crf, e: crf.viterbi_decode(e),
+    "greedy": lambda crf, e: crf.argmax_decode(e),
+    "top-k": lambda crf, e: crf.viterbi_top_k(e, 2),
+    "viterbi-batch": lambda crf, e: crf.viterbi_decode_batch(
+        e[None], np.ones((1, e.shape[0]))),
+    "greedy-batch": lambda crf, e: crf.argmax_decode_batch(
+        e[None], np.ones((1, e.shape[0]))),
+    "within-batched": _within(),
+    "within-deadline": _within(deadline=_OpenDeadline()),
+    "within-breaker-open": _within(allow_viterbi=False),
+}
+
+
+class TestMalformedEmissions:
+    """Every decode route rejects bad emissions with one typed error."""
+
+    @pytest.mark.parametrize("route", sorted(DECODE_ROUTES))
+    def test_zero_length_raises_value_error(self, rng, route):
+        crf = LinearChainCRF(4, rng)
+        with pytest.raises(ValueError, match="at least one token"):
+            DECODE_ROUTES[route](crf, np.zeros((0, 4)))
+
+    @pytest.mark.parametrize("route", sorted(DECODE_ROUTES))
+    def test_tag_count_mismatch_raises_value_error(self, rng, route):
+        crf = LinearChainCRF(4, rng)
+        with pytest.raises(ValueError, match="CRF expects 4"):
+            DECODE_ROUTES[route](crf, np.zeros((3, 5)))

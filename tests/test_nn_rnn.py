@@ -126,10 +126,10 @@ class TestTapeBudget:
     """
 
     def _per_step_nodes(self, module_cls, rng, lengths=(4, 8, 12)):
-        from repro.perf.fastpath import legacy_kernels
+        from repro.perf.fastpath import recurrent_kernel
 
         sizes = []
-        with legacy_kernels():
+        with recurrent_kernel(False):
             for length in lengths:
                 layer = module_cls(3, 4, np.random.default_rng(0))
                 x = Tensor(rng.normal(size=(2, length, 3)), requires_grad=True)
@@ -155,10 +155,10 @@ class TestTapeBudget:
         """All GRU steps reuse the module-level constant — the tape holds
         exactly one scalar-one tensor, not one per step."""
         from repro.nn import rnn as rnn_module
-        from repro.perf.fastpath import legacy_kernels
+        from repro.perf.fastpath import recurrent_kernel
 
         gru = GRU(3, 4, rng)
-        with legacy_kernels():
+        with recurrent_kernel(False):
             out = gru(Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True))
         seen = set()
         stack = [out.sum()]

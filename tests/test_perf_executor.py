@@ -153,25 +153,23 @@ class TestAdaptationCache:
     """The frozen-encoder cache must not change a single number."""
 
     def test_evaluation_bit_identical(self, fixture):
-        from repro.perf import adaptation_cache_enabled, legacy_kernels
+        from tests.reference.fewner import recompute_every_step
 
         episodes = fixture[2]
         adapter = _adapter(fixture)
-        assert adaptation_cache_enabled()
-        with legacy_kernels():
-            assert not adaptation_cache_enabled()
-            legacy = evaluate_method(adapter, episodes, workers=1)
+        with recompute_every_step(adapter):
+            reference = evaluate_method(adapter, episodes, workers=1)
         cached = evaluate_method(adapter, episodes, workers=1)
-        assert legacy.episode_scores == cached.episode_scores
-        assert legacy.ci == cached.ci
+        assert reference.episode_scores == cached.episode_scores
+        assert reference.ci == cached.ci
 
     def test_adapted_context_bit_identical(self, fixture):
-        from repro.perf import legacy_kernels
+        from tests.reference.fewner import recompute_every_step
 
         adapter = _adapter(fixture)
         episode = fixture[2][0]
         phi_fast = adapter.adapt_context(episode)
-        with legacy_kernels():
+        with recompute_every_step(adapter):
             phi_slow = adapter.adapt_context(episode)
         assert (phi_fast.data == phi_slow.data).all()
 

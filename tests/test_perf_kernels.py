@@ -5,8 +5,13 @@ import pytest
 
 from repro.autodiff.tensor import Tensor
 from repro.crf import LinearChainCRF, bio_start_mask, bio_transition_mask
-from repro.perf import fastpath, fused_nll_enabled, legacy_kernels
-from repro.perf.kernels import crf_forward_batch
+from repro.perf import (
+    DEFAULT_FASTPATH_STATE,
+    fastpath,
+    fastpath_state,
+    fused_nll_enabled,
+)
+from repro.perf.kernels import crf_forward_batch, crf_nll_fused
 
 
 @pytest.fixture
@@ -125,9 +130,8 @@ class TestFusedNLL:
         for _ in range(10):
             emissions, tags, mask, _lengths, num_tags = random_batch(rng)
             crf = LinearChainCRF(num_tags, rng)
-            with legacy_kernels():
-                slow = crf.batch_nll_padded(Tensor(emissions), tags, mask)
-            fast = crf.batch_nll_fast(Tensor(emissions), tags, mask)
+            slow = crf.batch_nll_padded(Tensor(emissions), tags, mask)
+            fast = crf_nll_fused(crf, Tensor(emissions), tags, mask)
             assert fast.item() == pytest.approx(slow.item(), abs=1e-10)
 
     def test_gradients_match_autodiff(self, rng):
@@ -135,8 +139,7 @@ class TestFusedNLL:
             emissions, tags, mask, _lengths, num_tags = random_batch(rng)
             crf = LinearChainCRF(num_tags, rng)
             e_slow = Tensor(emissions, requires_grad=True)
-            with legacy_kernels():
-                crf.batch_nll_padded(e_slow, tags, mask).backward()
+            crf.batch_nll_padded(e_slow, tags, mask).backward()
             expected = {
                 name: grad_of(p).copy()
                 for name, p in (("trans", crf.transitions),
@@ -146,7 +149,7 @@ class TestFusedNLL:
             for p in (crf.transitions, crf.start_scores, crf.end_scores):
                 p.grad = None
             e_fast = Tensor(emissions, requires_grad=True)
-            crf.batch_nll_fast(e_fast, tags, mask).backward()
+            crf_nll_fused(crf, e_fast, tags, mask).backward()
             np.testing.assert_allclose(
                 grad_of(e_fast), grad_of(e_slow), atol=1e-8
             )
@@ -161,29 +164,27 @@ class TestFusedNLL:
         crf = LinearChainCRF(3, rng)
         emissions = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
         tags = rng.integers(0, 3, size=(2, 4))
-        loss = crf.batch_nll_fast(emissions, tags, np.ones((2, 4)))
+        loss = crf_nll_fused(crf, emissions, tags, np.ones((2, 4)))
         with pytest.raises(RuntimeError, match="first-order"):
             loss.backward(create_graph=True)
 
     def test_validation(self, rng):
         crf = LinearChainCRF(3, rng)
         with pytest.raises(ValueError):  # tag-count mismatch
-            crf.batch_nll_fast(
-                Tensor(np.zeros((2, 4, 5))),
+            crf_nll_fused(
+                crf, Tensor(np.zeros((2, 4, 5))),
                 np.zeros((2, 4), dtype=int), np.ones((2, 4)),
             )
         with pytest.raises(ValueError):  # tags shape mismatch
-            crf.batch_nll_fast(
-                Tensor(np.zeros((2, 4, 3))),
+            crf_nll_fused(
+                crf, Tensor(np.zeros((2, 4, 3))),
                 np.zeros((2, 3), dtype=int), np.ones((2, 4)),
             )
 
 
 class TestFastpathSwitches:
     def test_defaults(self):
-        from repro.perf import batched_decode_enabled
-
-        assert batched_decode_enabled()
+        assert fastpath_state() == DEFAULT_FASTPATH_STATE
         assert not fused_nll_enabled()
 
     def test_fastpath_routes_padded_nll(self, rng):
@@ -199,26 +200,23 @@ class TestFastpathSwitches:
         # the emissions and the three CRF parameter tensors.
         assert len(routed._node.parents) == 4
 
-    def test_legacy_kernels_disables_both(self):
-        from repro.perf import batched_decode_enabled
-
-        with legacy_kernels():
-            assert not batched_decode_enabled()
-            assert not fused_nll_enabled()
-        assert batched_decode_enabled()
+    def test_only_semantic_switches_remain(self):
+        """Each switch left guards a first-order-only fast path."""
+        assert set(fastpath_state()) == {"fused_nll", "recurrent_kernel"}
+        with fastpath():
+            assert fused_nll_enabled()
+        assert fastpath_state() == DEFAULT_FASTPATH_STATE
 
     def test_decode_paths_route_identically(self, rng):
-        """Model-level decode is identical with kernels on and off."""
+        """The batched decode route equals per-sentence Viterbi."""
         emissions, _tags, mask, lengths, num_tags = random_batch(rng)
         crf = LinearChainCRF(num_tags, rng)
-        from repro.models.decoding import decode_emissions_within
+        from repro.models.decoding import FULL, decode_emissions_within
 
         rows = [
             Tensor(emissions[b, : lengths[b]])
             for b in range(emissions.shape[0])
         ]
-        fast_paths, fast_statuses = decode_emissions_within(crf, rows)
-        with legacy_kernels():
-            slow_paths, slow_statuses = decode_emissions_within(crf, rows)
-        assert fast_paths == slow_paths
-        assert fast_statuses == slow_statuses
+        paths, statuses = decode_emissions_within(crf, rows)
+        assert paths == [crf.viterbi_decode(row) for row in rows]
+        assert statuses == [FULL] * len(rows)

@@ -16,7 +16,6 @@ from repro.autodiff.tensor import Tensor, grad
 from repro.nn.rnn import GRU, LSTM, BiGRU, BiLSTM
 from repro.perf.fastpath import (
     fastpath_state,
-    legacy_kernels,
     recurrent_kernel,
     recurrent_kernel_enabled,
 )
@@ -77,7 +76,7 @@ class TestBitIdentity:
 
         assert recurrent_kernel_enabled()  # fused is the default
         fused_out, fused_grads = _run(layer, x, mask)
-        with legacy_kernels():
+        with recurrent_kernel(False):
             tape_out, tape_grads = _run(layer, x, mask)
 
         assert np.array_equal(fused_out, tape_out)
@@ -93,7 +92,7 @@ class TestBitIdentity:
         out = layer(x)
         (g1,) = grad(out.sum(), [x])
         (g2,) = grad((out * out).sum(), [x])
-        with legacy_kernels():
+        with recurrent_kernel(False):
             ref = layer(x)
             (r1,) = grad(ref.sum(), [x])
             (r2,) = grad((ref * ref).sum(), [x])
@@ -107,7 +106,7 @@ class TestBitIdentity:
         mask = _masks(rng, 2, 5)["ragged"]
         x = Tensor(rng.normal(size=(2, 5, 3)))
         (fused,) = grad(layer(x, mask).sum(), [layer.cell.w_h])
-        with legacy_kernels():
+        with recurrent_kernel(False):
             (tape,) = grad(layer(x, mask).sum(), [layer.cell.w_h])
         assert np.array_equal(fused.data, tape.data)
 
@@ -135,7 +134,7 @@ class TestBitIdentity:
             return [g.data for g in grad(loss, xs + layer.parameters())]
 
         fused = run()
-        with legacy_kernels():
+        with recurrent_kernel(False):
             tape = run()
         for fused_g, tape_g in zip(fused, tape):
             assert np.array_equal(fused_g, tape_g)
@@ -162,7 +161,7 @@ class TestBitIdentity:
                     grad((out * out).sum(), [x] + list(fast.values()))]
 
         fused = run()
-        with legacy_kernels():
+        with recurrent_kernel(False):
             tape = run()
         for fused_g, tape_g in zip(fused, tape):
             assert np.array_equal(fused_g, tape_g)
@@ -207,7 +206,7 @@ class TestTapeShape:
 
         layer = BiGRU(3, 4, np.random.default_rng(0))
         x = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
-        with profile_tape() as profile, legacy_kernels():
+        with profile_tape() as profile, recurrent_kernel(False):
             layer(x).sum().backward()
         assert profile.rnn_nodes == 0
         assert profile.nodes_created > 0
@@ -260,9 +259,9 @@ class TestFlagPlumbing:
     def test_default_state_includes_recurrent_kernel(self):
         assert fastpath_state()["recurrent_kernel"] is True
 
-    def test_legacy_kernels_disables_and_restores(self):
+    def test_recurrent_kernel_disables_and_restores(self):
         assert recurrent_kernel_enabled()
-        with legacy_kernels():
+        with recurrent_kernel(False):
             assert not recurrent_kernel_enabled()
         assert recurrent_kernel_enabled()
 
@@ -302,7 +301,7 @@ class TestEffectiveMask:
         constants — the tape is the same size as the mask-less call."""
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
-        with legacy_kernels():
+        with recurrent_kernel(False):
             layer = GRU(3, 4, np.random.default_rng(1))
             with_ones = _tape_size(layer(x, np.ones((2, 6))).sum())
             without = _tape_size(layer(x).sum())

@@ -198,11 +198,3 @@ def test_obs_report_omits_store_section_when_unused():
     report = build_report([])
     assert report["store"]["hit_rate"] is None
     assert "persistent store" not in render_report(report)
-
-
-def test_bench_workload_registered():
-    from repro.perf.bench import _HEAVY, _RUNNERS, WORKLOADS
-
-    assert "store_roundtrip" in WORKLOADS
-    assert "store_roundtrip" in _RUNNERS
-    assert "store_roundtrip" in _HEAVY
