@@ -18,6 +18,8 @@ verify-serving:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_serving_deadline.py \
 	    tests/test_serving_sanitize.py \
 	    tests/test_serving_service.py \
+	    tests/test_serving_no_tape.py \
+	    tests/test_data_vocab.py \
 	    tests/test_data_lint.py \
 	    tests/test_crf_greedy.py \
 	    tests/test_cli_serving.py -q

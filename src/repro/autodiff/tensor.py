@@ -588,7 +588,11 @@ def getitem(a: Tensor, index) -> Tensor:
     def vjp(g: Tensor) -> Tensor:
         return scatter_to(shape, index, g)
 
-    return _make(np.array(out_data, copy=True), (a,), (vjp,))
+    # Basic indexing returns a view; copy it so the result never aliases
+    # ``a`` (fancy indexing already returns a fresh array).
+    if np.may_share_memory(out_data, a.data):
+        out_data = out_data.copy()
+    return _make(out_data, (a,), (vjp,))
 
 
 def _is_basic_index(index) -> bool:
@@ -639,11 +643,12 @@ def pad(a: Tensor, pad_width) -> Tensor:
     index = tuple(
         slice(lo, lo + dim) for (lo, _hi), dim in zip(pad_width, a.shape)
     )
-    return _make(
-        np.pad(a.data, pad_width),
-        (a,),
-        (lambda g: getitem(g, index),),
+    out = np.zeros(
+        tuple(lo + dim + hi for (lo, hi), dim in zip(pad_width, a.shape)),
+        dtype=a.dtype,
     )
+    out[index] = a.data
+    return _make(out, (a,), (lambda g: getitem(g, index),))
 
 
 # ----------------------------------------------------------------------
@@ -682,12 +687,15 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def max_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """Max reduction; ties split gradient equally (subgradient choice)."""
     axes = _normalize_axis(axis, a.ndim)
-    reduced = a.data.max(axis=axes or None, keepdims=True)
-    mask = (a.data == reduced).astype(DEFAULT_DTYPE)
-    mask = mask / mask.sum(axis=axes or None, keepdims=True)
+    data = a.data
+    reduced = data.max(axis=axes or None, keepdims=True)
     out_data = reduced if keepdims else np.squeeze(reduced, axis=axes or None)
 
     def vjp(g: Tensor) -> Tensor:
+        # The tie-split mask is built here, not in the forward pass, so
+        # inference never pays for it.
+        mask = (data == reduced).astype(DEFAULT_DTYPE)
+        mask = mask / mask.sum(axis=axes or None, keepdims=True)
         if not keepdims:
             expanded = list(g.shape)
             for ax in sorted(axes):

@@ -90,6 +90,9 @@ class CharVocabulary:
         chars = sorted({c for t in tokens for c in t})
         self._itos = [PAD, UNK] + chars
         self._stoi = {c: i for i, c in enumerate(self._itos)}
+        # ``chars`` is sorted by code point, so the id of ``chars[k]`` is
+        # ``k + 2`` and a binary search over these codes finds it.
+        self._codes = _code_points(chars)
 
     @classmethod
     def from_datasets(cls, datasets) -> "CharVocabulary":
@@ -111,11 +114,29 @@ class CharVocabulary:
         return self._stoi.get(char, 1)
 
     def encode_word(self, word: str, max_chars: int) -> np.ndarray:
-        ids = np.zeros(max_chars, dtype=np.intp)
-        for i, c in enumerate(word[:max_chars]):
-            ids[i] = self.index(c)
-        return ids
+        return self.encode_sentence([word], max_chars)[0]
 
     def encode_sentence(self, tokens, max_chars: int = 12) -> np.ndarray:
-        """Encode each token's characters: ``(num_tokens, max_chars)``."""
-        return np.stack([self.encode_word(t, max_chars) for t in tokens])
+        """Encode each token's characters: ``(num_tokens, max_chars)``.
+
+        Tokens are truncated to ``max_chars`` and right-padded with
+        ``pad_index``; characters outside the vocabulary get UNK (1).
+        All tokens are looked up in one vectorised pass.
+        """
+        kept = [t[:max_chars] for t in tokens]
+        lengths = np.fromiter(map(len, kept), dtype=np.intp, count=len(kept))
+        codes = _code_points(kept)
+        pos = np.searchsorted(self._codes, codes)
+        found = pos < len(self._codes)
+        found[found] = self._codes[pos[found]] == codes[found]
+        out = np.zeros((len(kept), max_chars), dtype=np.intp)
+        out[np.arange(max_chars) < lengths[:, None]] = np.where(
+            found, pos + 2, 1
+        )
+        return out
+
+
+def _code_points(strings) -> np.ndarray:
+    """Code points of ``strings`` concatenated, lone surrogates included."""
+    data = "".join(strings).encode("utf-32-le", "surrogatepass")
+    return np.frombuffer(data, dtype="<u4")

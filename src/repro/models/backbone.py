@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, concatenate, matmul, reshape, zeros
+from repro.autodiff.tensor import (
+    Tensor,
+    concatenate,
+    matmul,
+    no_grad,
+    reshape,
+    zeros,
+)
 from repro.crf import LinearChainCRF, bio_start_mask, bio_transition_mask
 from repro.data.sentence import Sentence
 from repro.data.tags import TagScheme
@@ -288,6 +295,23 @@ class CNNBiGRUCRF(Module):
             max_chars=self.config.max_chars,
         )
 
+    def _inference_scores(self, sentences: list[Sentence],
+                          phi: Tensor | None) -> tuple[Batch, np.ndarray]:
+        """Encode ``sentences`` and score them in eval mode, off the tape.
+
+        Returns the batch and its padded ``(B, L, T)`` emission scores.
+        Nothing is recorded for backward, so serving builds no gradient
+        state (the fused RNN scan then stashes no BPTT activations).
+        """
+        was_training = self.training
+        self.eval()
+        try:
+            with no_grad():
+                batch = self.encode(sentences)
+                return batch, self.emission_scores(batch, phi).data
+        finally:
+            self.train(was_training)
+
     def decode(self, sentences: list[Sentence],
                phi: Tensor | None = None) -> list[list[int]]:
         """Viterbi tag sequences for raw sentences (``[]`` for ``[]``).
@@ -297,14 +321,8 @@ class CNNBiGRUCRF(Module):
         """
         if not sentences:
             return []
-        was_training = self.training
-        self.eval()
-        try:
-            batch = self.encode(sentences)
-            scores = self.emission_scores(batch, phi)
-            return self.crf.viterbi_decode_batch(scores.data, batch.mask)
-        finally:
-            self.train(was_training)
+        batch, scores = self._inference_scores(sentences, phi)
+        return self.crf.viterbi_decode_batch(scores, batch.mask)
 
     def decode_within(
         self,
@@ -329,13 +347,8 @@ class CNNBiGRUCRF(Module):
 
         if not sentences:
             return [], []
-        was_training = self.training
-        self.eval()
-        try:
-            batch = self.encode(sentences)
-            emissions = self.emissions(batch, phi)
-        finally:
-            self.train(was_training)
+        batch, scores = self._inference_scores(sentences, phi)
+        emissions = [scores[i, :n] for i, n in enumerate(batch.lengths)]
         return decode_emissions_within(
             self.crf, emissions, deadline=deadline,
             on_sentence=on_sentence, allow_viterbi=allow_viterbi,

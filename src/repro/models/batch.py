@@ -49,13 +49,15 @@ def encode_batch(
     lengths = tuple(len(s) for s in sentences)
     max_len = max(lengths)
     batch = len(sentences)
+    mask = (np.arange(max_len) < np.array(lengths)[:, None]).astype(float)
+    # Real cells in row-major order are the batch's tokens in order, so
+    # every token is encoded in one pass and scattered through the mask.
+    tokens = [t for sent in sentences for t in sent.tokens]
+    real = mask > 0
     word_ids = np.zeros((batch, max_len), dtype=np.intp)
+    word_ids[real] = word_vocab.encode(tokens)
     char_ids = np.zeros((batch, max_len, max_chars), dtype=np.intp)
-    mask = np.zeros((batch, max_len))
-    for i, sent in enumerate(sentences):
-        word_ids[i, : len(sent)] = word_vocab.encode(sent.tokens)
-        char_ids[i, : len(sent)] = char_vocab.encode_sentence(sent.tokens, max_chars)
-        mask[i, : len(sent)] = 1.0
+    char_ids[real] = char_vocab.encode_sentence(tokens, max_chars)
     tags = None
     if scheme is not None:
         tags = tuple(

@@ -26,6 +26,16 @@ from typing import Sequence
 _STRIPPED_CATEGORIES = ("Cc", "Cf", "Cs")
 
 
+def _stripped(c: str) -> bool:
+    """Whether :meth:`RequestSanitizer.clean_token` removes character ``c``."""
+    return unicodedata.category(c) in _STRIPPED_CATEGORIES or c.isspace()
+
+
+#: ``str.translate`` table deleting the stripped ASCII characters.  NFC
+#: is the identity on ASCII, so this table alone cleans an ASCII token.
+_ASCII_TABLE = {c: None for c in range(128) if _stripped(chr(c))}
+
+
 class InvalidRequest(ValueError):
     """A request the service refuses, with machine-readable context."""
 
@@ -80,17 +90,19 @@ class RequestSanitizer:
         May return the empty string (e.g. a token that was *only* a
         zero-width space); :meth:`sanitize` rejects those with context.
         """
+        if token.isascii():
+            return token.translate(_ASCII_TABLE)
+        return self._clean_general(token)
+
+    def _clean_general(self, token: str) -> str:
+        """:meth:`clean_token` for any text, character by character."""
         if self.config.normalize_nfc:
             # Lone surrogates make normalize() raise; drop them first.
             token = "".join(
                 c for c in token if unicodedata.category(c) != "Cs"
             )
             token = unicodedata.normalize("NFC", token)
-        return "".join(
-            c for c in token
-            if unicodedata.category(c) not in _STRIPPED_CATEGORIES
-            and not c.isspace()
-        )
+        return "".join(c for c in token if not _stripped(c))
 
     # ------------------------------------------------------------------
     def sanitize(self, tokens: Sequence[str]) -> SanitizedRequest:

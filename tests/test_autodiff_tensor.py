@@ -189,6 +189,7 @@ class TestShapes:
         out = pad(x, ((1, 0), (0, 2)))
         assert out.shape == (3, 5)
         assert out.data[0].sum() == 0
+        assert np.array_equal(out.data, np.pad(x.data, ((1, 0), (0, 2))))
         gradcheck(lambda x: (pad(x, ((1, 1), (2, 0))) ** 2).sum(), [x])
 
 
@@ -196,6 +197,16 @@ class TestIndexing:
     def test_basic_slice(self, rng):
         x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         gradcheck(lambda x: (x[1:3, ::2] ** 2).sum(), [x])
+
+    @pytest.mark.parametrize("index", [
+        (slice(1, 3), slice(None, None, 2)), 2, (Ellipsis, 1),
+        (np.array([0, 2, 2]),), (slice(None), np.array([4, 0])),
+    ])
+    def test_result_never_aliases_input(self, rng, index):
+        x = Tensor(rng.normal(size=(4, 5)))
+        out = getitem(x, index)
+        assert np.array_equal(out.data, x.data[index])
+        assert not np.shares_memory(out.data, x.data)
 
     def test_integer_array_gather(self, rng):
         x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
@@ -253,6 +264,27 @@ class TestReductions:
         x = Tensor([2.0, 2.0], requires_grad=True)
         x.max().backward()
         assert np.allclose(x.grad.data, [0.5, 0.5])
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_max_tie_split_along_axis(self, keepdims):
+        x = Tensor([[1.0, 4.0, 4.0, 4.0], [7.0, 7.0, 0.0, 1.0]],
+                   requires_grad=True)
+        (g,) = grad(x.max(axis=1, keepdims=keepdims).sum(), [x])
+        assert np.array_equal(g.data, [[0.0, 1 / 3, 1 / 3, 1 / 3],
+                                       [0.5, 0.5, 0.0, 0.0]])
+
+    def test_max_gradcheck_and_double_backward(self, rng):
+        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        gradcheck(lambda x: (x.max(axis=1) ** 2).sum(), [x])
+        gradcheck(lambda x: (x.max(axis=0, keepdims=True) ** 3).sum(), [x])
+        (g,) = grad((x.max(axis=1) ** 3).sum(), [x], create_graph=True)
+        (gg,) = grad(g.sum(), [x])
+        # d2/dx2 of m^3 is 6m at each row's argmax, 0 elsewhere.
+        expected = np.zeros_like(x.data)
+        rows = np.arange(3)
+        cols = x.data.argmax(axis=1)
+        expected[rows, cols] = 6 * x.data[rows, cols]
+        assert np.allclose(gg.data, expected)
 
     def test_min(self, rng):
         x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)

@@ -121,3 +121,44 @@ class TestFuzz:
                 for ch in token:
                     assert unicodedata.category(ch) not in ("Cc", "Cf", "Cs")
                     assert not ch.isspace()
+
+
+class _GeneralPathSanitizer(RequestSanitizer):
+    """Cleans every token on the general (per-character) path."""
+
+    def clean_token(self, token: str) -> str:
+        return self._clean_general(token)
+
+
+class TestAsciiFastPath:
+    """ASCII tokens take a ``str.translate`` shortcut; results must agree."""
+
+    @pytest.mark.parametrize("nfc", [True, False])
+    def test_every_ascii_code_point_matches_general_path(self, nfc):
+        sanitizer = RequestSanitizer(SanitizerConfig(normalize_nfc=nfc))
+        for c in map(chr, range(128)):
+            for token in (c, f"ab{c}cd", f"{c}{c}x{c}"):
+                assert token.isascii()
+                assert (sanitizer.clean_token(token)
+                        == sanitizer._clean_general(token)), repr(token)
+
+    @pytest.mark.parametrize("nfc", [True, False])
+    def test_sanitized_request_counts_unchanged(self, nfc):
+        config = SanitizerConfig(max_token_chars=6, normalize_nfc=nfc)
+        fast = RequestSanitizer(config)
+        general = _GeneralPathSanitizer(config)
+        requests = [
+            [f"w{chr(c)}rd" for c in range(128)],
+            ["plain", "to\tken", "x" * 9, "a b", "cafe\u0301", "\u200bz"],
+            ["ok", "\x7f", "fine"],
+        ]
+        for tokens in requests:
+            try:
+                want = general.sanitize(tokens)
+            except InvalidRequest as exc:
+                with pytest.raises(InvalidRequest) as got:
+                    fast.sanitize(tokens)
+                assert (got.value.index, got.value.reason) == (
+                    exc.index, exc.reason)
+                continue
+            assert fast.sanitize(tokens) == want
