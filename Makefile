@@ -1,12 +1,22 @@
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-tables-smoke examples lint verify-reliability verify-serving verify-gateway verify-overload verify-chaos verify-obs verify-store verify-trace
+.PHONY: install test bench bench-smoke bench-tables-smoke examples lint verify-kernels verify-reliability verify-serving verify-gateway verify-overload verify-chaos verify-obs verify-store verify-trace
 
 install:
 	$(PYTHON) setup.py develop
 
 test:
 	$(PYTHON) -m pytest tests/
+
+verify-kernels:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_perf_kernels.py \
+	    tests/test_perf_rnn_kernels.py \
+	    tests/test_crf*.py \
+	    tests/test_autodiff_*.py \
+	    tests/test_perf_fused_checkpoints.py -q
+	PYTHONPATH=src $(PYTHON) -m repro chaos soak \
+	    --scenario fused-nll-parity --scenario recurrent-kernel-parity \
+	    --max-rounds 1 --seed 0
 
 verify-reliability:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_reliability_guard.py \

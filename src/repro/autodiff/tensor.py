@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -397,12 +398,24 @@ def pow_(a: Tensor, exponent: float) -> Tensor:
     )
 
 
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-    out = _make(out_data, (a,), (None,))
+def _with_output_vjp(out: Tensor, a: Tensor, vjp_of_out) -> Tensor:
+    """Record ``out = f(a)`` whose VJP reads ``out`` itself.
+
+    The closure holds ``out`` through a weak reference: a strong one
+    would make every such graph a reference cycle that only the cycle
+    collector frees.  Backpropagation keeps ``out`` alive while its VJP
+    runs (the topological order holds every node it visits).
+    """
     if out._node is not None:
-        out._node = _Node((a,), (lambda g: mul(g, out),))
+        ref = weakref.ref(out)
+        out._node = _Node((a,), (lambda g: vjp_of_out(g, ref()),))
     return out
+
+
+def exp(a: Tensor) -> Tensor:
+    return _with_output_vjp(
+        _make(np.exp(a.data), (a,), (None,)), a, lambda g, out: mul(g, out)
+    )
 
 
 def log(a: Tensor) -> Tensor:
@@ -410,27 +423,24 @@ def log(a: Tensor) -> Tensor:
 
 
 def sqrt(a: Tensor) -> Tensor:
-    out = _make(np.sqrt(a.data), (a,), (None,))
-    if out._node is not None:
-        half = Tensor(np.array(0.5))
-        out._node = _Node((a,), (lambda g: div(mul(g, half), out),))
-    return out
+    return _with_output_vjp(
+        _make(np.sqrt(a.data), (a,), (None,)), a,
+        lambda g, out: div(mul(g, Tensor(np.array(0.5))), out),
+    )
 
 
 def tanh(a: Tensor) -> Tensor:
-    out = _make(np.tanh(a.data), (a,), (None,))
-    if out._node is not None:
-        out._node = _Node((a,), (lambda g: mul(g, sub(Tensor(np.array(1.0)), mul(out, out))),))
-    return out
+    return _with_output_vjp(
+        _make(np.tanh(a.data), (a,), (None,)), a,
+        lambda g, out: mul(g, sub(Tensor(np.array(1.0)), mul(out, out))),
+    )
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = _make(1.0 / (1.0 + np.exp(-a.data)), (a,), (None,))
-    if out._node is not None:
-        out._node = _Node(
-            (a,), (lambda g: mul(g, mul(out, sub(Tensor(np.array(1.0)), out))),)
-        )
-    return out
+    return _with_output_vjp(
+        _make(1.0 / (1.0 + np.exp(-a.data)), (a,), (None,)), a,
+        lambda g, out: mul(g, mul(out, sub(Tensor(np.array(1.0)), out))),
+    )
 
 
 def relu(a: Tensor) -> Tensor:
@@ -599,14 +609,31 @@ def _is_basic_index(index) -> bool:
     """True for indices made only of ints/slices/None/Ellipsis.
 
     Basic indexing addresses every element at most once, so the scatter
-    adjoint can use direct assignment instead of ``np.add.at`` (whose
-    fixed per-call overhead dominates on the small arrays the RNN step
-    loop scatters into)."""
+    adjoint can use direct assignment instead of :func:`scatter_array`
+    (whose fixed per-call overhead dominates on the small arrays the RNN
+    step loop scatters into)."""
     items = index if isinstance(index, tuple) else (index,)
     return all(
         isinstance(i, (int, np.integer, slice)) or i is None or i is Ellipsis
         for i in items
     )
+
+
+def scatter_array(shape: tuple[int, ...], index, values: np.ndarray) -> np.ndarray:
+    """Zeros of ``shape`` with ``values`` summed in at ``index``.
+
+    Bit-identical to ``np.add.at(np.zeros(shape), index, values)`` for
+    the tape's float64 values: the selected elements are numbered by
+    indexing a flat ``arange`` with ``index``, and ``np.bincount`` adds
+    each value in the same sequential order ``np.add.at`` does, without
+    its per-element dispatch cost.
+    """
+    values = np.asarray(values)
+    size = int(np.prod(shape))
+    flat = np.arange(size).reshape(shape)[index]
+    weights = np.broadcast_to(values, flat.shape).ravel()
+    summed = np.bincount(flat.ravel(), weights=weights, minlength=size)
+    return summed.astype(values.dtype, copy=False).reshape(shape)
 
 
 def scatter_to(shape: tuple[int, ...], index, values: Tensor) -> Tensor:
@@ -616,14 +643,12 @@ def scatter_to(shape: tuple[int, ...], index, values: Tensor) -> Tensor:
     accumulate, matching ``np.add.at`` semantics.
     """
     values = _ensure_tensor(values)
-    basic = _is_basic_index(index)
 
     def forward(vals: np.ndarray) -> np.ndarray:
+        if not _is_basic_index(index):
+            return scatter_array(shape, index, vals)
         base = np.zeros(shape, dtype=vals.dtype)
-        if basic:
-            base[index] = vals
-        else:
-            np.add.at(base, index, vals)
+        base[index] = vals
         return base
 
     def vjp(g: Tensor) -> Tensor:

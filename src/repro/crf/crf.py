@@ -122,16 +122,19 @@ class LinearChainCRF(Module):
         """Mean NLL over a padded batch.
 
         ``emissions`` is ``(B, L, T)``; ``tags`` is ``(B, L)`` integer ids
-        (values at padded positions are ignored); ``mask`` is ``(B, L)``
-        with 1 for real tokens.  Vectorising across the batch keeps the
-        autodiff graph size proportional to L rather than B * L.
+        (values at padded positions do not change the result, but must
+        still be valid ids); ``mask`` is ``(B, L)`` with 1 for the real
+        tokens of each row's prefix and 0 after.  Vectorising across the
+        batch keeps the autodiff graph size proportional to L rather than
+        B * L.  Malformed input raises ``ValueError`` on both routes (see
+        :meth:`_check_nll_batch`).
 
-        When the fused fast path is enabled (see
+        With the fused fast path on (the default; see
         :func:`repro.perf.fastpath.fastpath`) this delegates to
-        :func:`repro.perf.kernels.crf_nll_fused`, which computes the same
-        mean NLL and first-order gradients as a single tape node
-        (first-order only: backward with ``create_graph=True`` raises
-        ``RuntimeError``).
+        :func:`repro.perf.kernels.crf_nll_fused`, which replays the graph
+        below as a single tape node: the value and every gradient are
+        bit-identical, but it is first-order only (backward with
+        ``create_graph=True`` raises ``RuntimeError``).
         """
         from repro.autodiff.tensor import where
         from repro.perf.fastpath import fused_nll_enabled
@@ -141,13 +144,8 @@ class LinearChainCRF(Module):
 
             return crf_nll_fused(self, emissions, tags, mask)
 
-        tags = np.asarray(tags, dtype=np.intp)
-        mask = np.asarray(mask, dtype=float)
+        tags, mask = self._check_nll_batch(emissions, tags, mask)
         batch, length, num_tags = emissions.shape
-        if tags.shape != (batch, length) or mask.shape != (batch, length):
-            raise ValueError("tags/mask shape mismatch with emissions")
-        if mask[:, 0].min() < 1:
-            raise ValueError("every sequence must have at least one token")
         trans, start = self._scores()
 
         # --- log partition, batched forward algorithm ----------------
@@ -241,6 +239,30 @@ class LinearChainCRF(Module):
         if data.shape[-2] == 0:
             raise ValueError("every sequence must have at least one token")
         return data
+
+    def _check_nll_batch(self, emissions, tags,
+                         mask) -> tuple[np.ndarray, np.ndarray]:
+        """``(tags, mask)`` as arrays for a padded NLL batch, or ``ValueError``.
+
+        Shared by both NLL routes, so malformed input fails the same way
+        on each: an empty batch, a zero-length or wrong-tag-count
+        emission tensor, tags or mask of the wrong shape, tag ids out of
+        range, and a mask that is not 1 on a non-empty prefix and 0 after.
+        """
+        from repro.perf.kernels import _check_batch
+
+        data = self._check_emissions(emissions)
+        mask = _check_batch(data, mask)
+        if data.shape[0] == 0:
+            raise ValueError("empty batch")
+        tags = np.asarray(tags, dtype=np.intp)
+        if tags.shape != mask.shape:
+            raise ValueError("tags/mask shape mismatch with emissions")
+        if tags.min() < 0 or tags.max() >= self.num_tags:
+            raise ValueError(f"tag ids must lie in [0, {self.num_tags})")
+        if ((mask != 0) & (mask != 1)).any() or (np.diff(mask, axis=1) > 0).any():
+            raise ValueError("mask must be 1 on a prefix of each row and 0 after")
+        return tags, mask
 
     def viterbi_decode(self, emissions: np.ndarray) -> list[int]:
         """Most-likely tag sequence for ``(L, T)`` emission scores."""

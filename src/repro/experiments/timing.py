@@ -31,6 +31,7 @@ from repro.data.vocab import CharVocabulary, Vocabulary
 from repro.experiments.table2 import TYPE_SPLITS, _fit_counts
 from repro.meta.fewner import FewNER
 from repro.obs import measure
+from repro.perf.fastpath import fastpath
 
 import numpy as np
 
@@ -87,7 +88,9 @@ def _measure_inner_step(adapter: FewNER, episode, repeats: int = 3) -> float:
         (g_phi,) = grad(loss, [phi], create_graph=True)
         _phi1 = phi - alpha * g_phi
 
-    return measure(one_step, reps=repeats, label="timing.inner_step")
+    # A second-order step: the fused CRF NLL is first-order only.
+    with fastpath(False):
+        return measure(one_step, reps=repeats, label="timing.inner_step")
 
 
 def _measure_outer_batch(adapter: FewNER, sampler: EpisodeSampler) -> float:

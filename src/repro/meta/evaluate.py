@@ -137,9 +137,10 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
       scores).  Under a budget, parallel evaluation proceeds in chunks
       of ``workers`` episodes with the deadline checked between chunks.
 
-    ``fast`` enables the fused CRF NLL fast path
-    (:func:`repro.perf.fastpath.fastpath`) around each adaptation —
-    valid for the first-order inner loops used at evaluation time.
+    ``fast`` wraps each adaptation in the fused CRF NLL fast path
+    (:func:`repro.perf.fastpath.fastpath`).  That path is on by default
+    and bit-identical to the graph NLL, so ``fast`` changes no number;
+    it stays for the callers that pass it.
 
     With ``workers >= 1`` the run is *self-healing*: episodes execute
     under the supervised pool with per-task deadlines

@@ -55,6 +55,7 @@ class FewNER(Adapter):
                      create_graph: bool) -> Tensor:
         """Run the inner loop on the support set; returns adapted φ_k."""
         from repro import obs
+        from repro.perf.fastpath import fastpath, fused_nll_enabled
 
         with obs.span("encode"):
             batch = self.model.encode(list(episode.support), episode.scheme)
@@ -108,8 +109,11 @@ class FewNER(Adapter):
             obs.count("adaptation_cache.hit", steps)
         else:
             obs.count("adaptation_cache.miss", steps)
+        # A second-order φ step differentiates through the NLL gradient,
+        # which the first-order fused kernel cannot record.
+        nll_mode = fastpath(fused_nll_enabled() and not create_graph)
         try:
-            with obs.span("inner_loop", steps=steps):
+            with obs.span("inner_loop", steps=steps), nll_mode:
                 for _k in range(steps):
                     loss = inner_loss(batch, phi, base=base)
                     (g_phi,) = grad(loss, [phi], create_graph=create_graph)
@@ -137,11 +141,16 @@ class FewNER(Adapter):
                 )
             )
         from repro import obs
+        from repro.perf.fastpath import fastpath, fused_nll_enabled
 
         guard = self._make_guard(self.optimizer, sampler)
         self.model.train()
+        # The fused CRF NLL is first-order only.  Second-order runs keep
+        # the graph NLL for the whole outer iteration, so the tape sums
+        # the CRF-parameter gradients in one order throughout.
+        fused = fused_nll_enabled() and not config.second_order
         for _it in range(iterations):
-            with obs.span("outer_step", iteration=_it):
+            with obs.span("outer_step", iteration=_it), fastpath(fused):
                 tasks = sampler.sample_many(config.meta_batch)
                 self.model.zero_grad()
                 total = 0.0

@@ -108,11 +108,14 @@ class MAML(Adapter):
             losses.extend(self._fit_first_order(sampler, iterations))
             return losses
         from repro import obs
+        from repro.perf.fastpath import fastpath
 
         guard = self._make_guard(self.optimizer, sampler)
         self.model.train()
         for _it in range(iterations):
-            with obs.span("outer_step", iteration=_it):
+            # The fused CRF NLL is first-order only: keep the graph NLL
+            # for the whole second-order outer iteration.
+            with obs.span("outer_step", iteration=_it), fastpath(False):
                 tasks = sampler.sample_many(config.meta_batch)
                 self.model.zero_grad()
                 total = 0.0

@@ -5,15 +5,15 @@ never leak a mode change past their own frame.  Each exists because
 the fast path is first-order only, so second-order work must be able
 to turn it off:
 
-* **Fused CRF NLL** (default *off*): the batched negative log-likelihood
-  is computed by one fused numpy kernel with an analytic first-order
-  gradient (forward-backward marginals) instead of a composite autodiff
-  graph.  This collapses ``O(L)`` tape nodes into one and is the main
-  training/adaptation speedup, but the analytic gradient is a *constant*
-  with respect to the tape — second-order differentiation through it is
-  undefined and is rejected at backprop time.  Enable it with
-  :func:`fastpath` around first-order work only (evaluation-time
-  adaptation, supervised training).
+* **Fused CRF NLL** (default *on*): the batched negative log-likelihood
+  runs as one fused numpy kernel registered as a *single* tape node
+  (``repro.perf.kernels.crf_nll_fused``) instead of ``O(L)`` autodiff
+  ops.  It replays the graph's float operations and VJPs in the tape's
+  order, so the loss *and* every gradient are bit-identical — but its
+  backward runs outside the tape, so second-order differentiation
+  through it is rejected at backprop time.  Second-order work runs
+  under ``fastpath(False)``: each outer iteration of FEWNER and MAML
+  with ``second_order``, and the E6 inner-step timing.
 * **Recurrent kernel** (default *on*): GRU/LSTM layers unroll the whole
   sequence inside one fused numpy scan registered as a *single* tape
   node with a hand-derived BPTT backward (``repro.perf.rnn_kernels``),
@@ -39,7 +39,7 @@ _state = threading.local()
 #: :func:`fastpath_state` against this to prove no scenario leaked a
 #: mode change past its own frame.
 DEFAULT_FASTPATH_STATE = {
-    "fused_nll": False,
+    "fused_nll": True,
     "recurrent_kernel": True,
 }
 
@@ -76,8 +76,9 @@ def _scoped(name: str, enabled: bool):
 def fastpath(enabled: bool = True):
     """Enable (or disable) the fused CRF NLL kernel inside the block.
 
-    First-order only: calling ``grad(..., create_graph=True)`` through a
-    loss produced under this context raises ``RuntimeError``.
+    The kernel is on by default and first-order only: calling
+    ``grad(..., create_graph=True)`` through a loss it produced raises
+    ``RuntimeError``, so second-order work runs under ``fastpath(False)``.
     """
     return _scoped("fused_nll", enabled)
 

@@ -1,4 +1,4 @@
-"""Batch-vectorised CRF kernels: decode, forward-backward, fused NLL.
+"""Batch-vectorised CRF kernels: decode and the fused NLL.
 
 Every function here operates on a *padded* batch — emissions ``(B, L, T)``
 with a ``(B, L)`` mask whose first column is all ones — and replaces a
@@ -9,19 +9,22 @@ kernels reproduce the per-sentence recursions' float operations and
 :meth:`~repro.crf.LinearChainCRF.argmax_decode` applied sentence by
 sentence.
 
-:func:`crf_nll_fused` additionally registers the analytic first-order
-gradient (expected minus observed sufficient statistics, from one
-forward-backward pass) on the autodiff tape as a single node.  That is
-what makes it fast — and what makes it first-order only: the gradient is
-a constant with respect to the tape, so differentiating through it is
-rejected with ``RuntimeError`` rather than silently returning zeros.
+:func:`crf_nll_fused` runs the graph of
+:meth:`~repro.crf.LinearChainCRF.batch_nll_padded` as plain numpy and
+registers it on the autodiff tape as a single node whose backward
+replays the graph's VJPs, so the loss and its gradients are
+bit-identical.  One node instead of ``O(L)`` is what makes it fast — and
+what makes it first-order only: its backward runs outside the tape, so
+differentiating through it is rejected with ``RuntimeError`` rather than
+silently returning zeros.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, _make, is_grad_enabled, mul
+from repro.autodiff.tensor import DEFAULT_DTYPE, Tensor, _make, scatter_array
+from repro.perf.rnn_kernels import _fused_vjps
 from repro.perf.rnn_kernels import (  # noqa: F401  (recurrent fast paths, re-exported)
     bigru_forward_batch,
     bilstm_forward_batch,
@@ -120,160 +123,150 @@ def argmax_decode_batch(trans: np.ndarray, start: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# Forward-backward and the fused NLL
+# The fused NLL
 # ----------------------------------------------------------------------
-def crf_forward_batch(trans: np.ndarray, start: np.ndarray, end: np.ndarray,
-                      emissions, mask) -> np.ndarray:
-    """Batched forward-algorithm log partition functions ``(B,)``."""
-    emissions = _as_array(emissions)
-    mask = _check_batch(emissions, mask)
-    alpha = _forward_table(trans, start, emissions, mask)
-    return _logsumexp(alpha[:, -1, :] + end[None, :], axis=1)
+_SECOND_ORDER_MSG = (
+    "the fused CRF NLL kernel is first-order only: its backward runs "
+    "outside the tape, so create_graph=True cannot differentiate "
+    "through it — wrap second-order work in repro.perf.fastpath(False)"
+)
 
 
-def _forward_table(trans, start, emissions, mask) -> np.ndarray:
-    """Alpha table ``(B, L, T)``; rows freeze past each true length.
-
-    The per-step log-sum-exp runs in scaled-probability space: with the
-    per-row max ``m`` subtracted, ``logsumexp_i(alpha_i + trans_ij)`` is
-    ``log((exp(alpha - m) @ exp(trans))_j) + m`` — one ``(B, T) @ (T, T)``
-    matmul instead of a ``(B, T, T)`` broadcast reduction.  A transition
-    hard-masked to ``-1e4`` underflows to an exact zero factor, so an
-    unreachable tag's alpha is ``-inf`` here (it is a slightly negative
-    large number in the log-domain recursion); both round to identical
-    zero marginals, and reachable entries agree to machine precision.
-    """
-    batch, length, num_tags = emissions.shape
-    exp_trans = np.exp(trans)
-    alpha = np.zeros((batch, length, num_tags))
-    alpha[:, 0, :] = start[None, :] + emissions[:, 0, :]
-    with np.errstate(divide="ignore"):
-        for t in range(1, length):
-            prev = alpha[:, t - 1, :]
-            m = prev.max(axis=1, keepdims=True)
-            new_alpha = (
-                np.log(np.exp(prev - m) @ exp_trans) + m
-                + emissions[:, t, :]
-            )
-            live = (mask[:, t] > 0)[:, None]
-            alpha[:, t, :] = np.where(live, new_alpha, prev)
-    return alpha
-
-
-def _backward_table(trans, end, emissions, mask, lengths) -> np.ndarray:
-    """Beta table ``(B, L, T)``; each row seeded with ``end`` at its last
-    real position (entries past the true length are unused).  Uses the
-    same scaled-probability matmul per step as :func:`_forward_table`."""
-    batch, length, num_tags = emissions.shape
-    exp_trans_t = np.ascontiguousarray(np.exp(trans).T)
-    beta = np.zeros((batch, length, num_tags))
-    beta[np.arange(batch), lengths - 1, :] = end[None, :]
-    with np.errstate(divide="ignore"):
-        for t in range(length - 2, -1, -1):
-            nxt = emissions[:, t + 1, :] + beta[:, t + 1, :]
-            m = nxt.max(axis=1, keepdims=True)
-            recursed = np.log(np.exp(nxt - m) @ exp_trans_t) + m
-            live_next = (mask[:, t + 1] > 0)[:, None]
-            beta[:, t, :] = np.where(live_next, recursed, beta[:, t, :])
-    return beta
-
-
-def _nll_and_grads(trans, start, end, emissions, tags, mask):
-    """Mean NLL of a padded batch plus analytic gradients.
-
-    Returns ``(value, d_emissions, d_trans, d_start, d_end)`` where the
-    gradients are of the *mean* NLL (matching ``batch_nll_padded``):
-    expected sufficient statistics under the model (marginals from one
-    forward-backward pass) minus the observed gold statistics, divided by
-    the batch size.
-    """
-    batch, length, num_tags = emissions.shape
-    lengths = mask.sum(axis=1).astype(np.intp)
-    rows = np.arange(batch)
-
-    alpha = _forward_table(trans, start, emissions, mask)
-    beta = _backward_table(trans, end, emissions, mask, lengths)
-    log_z = _logsumexp(alpha[:, -1, :] + end[None, :], axis=1)
-
-    # --- expected statistics -----------------------------------------
-    marginals = np.exp(alpha + beta - log_z[:, None, None]) * mask[:, :, None]
-    d_emissions = marginals.copy()
-    d_start = marginals[:, 0, :].sum(axis=0)
-    d_end = marginals[rows, lengths - 1, :].sum(axis=0)
-    d_trans = np.zeros_like(trans)
-    if length > 1:
-        # xi[b, t, i, j] = P(y_{t-1}=i, y_t=j | x_b) for live steps t.
-        log_xi = (
-            alpha[:, :-1, :, None]
-            + trans[None, None, :, :]
-            + (emissions[:, 1:, :] + beta[:, 1:, :])[:, :, None, :]
-            - log_z[:, None, None, None]
-        )
-        xi = np.exp(log_xi) * mask[:, 1:, None, None]
-        d_trans = xi.sum(axis=(0, 1))
-
-    # --- observed (gold) statistics ----------------------------------
-    gold = start[tags[:, 0]] + (emissions[
-        rows[:, None], np.arange(length)[None, :], tags
-    ] * mask).sum(axis=1)
-    np.add.at(
-        d_emissions, (rows[:, None], np.arange(length)[None, :], tags), -mask
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """numpy mirror of the tape's ``_unbroadcast`` (same sums, same axes)."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)), keepdims=False)
+    axes = tuple(
+        i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1
     )
-    np.add.at(d_start, tags[:, 0], -1.0)
-    if length > 1:
-        trans_steps = (tags[:, :-1], tags[:, 1:])
-        gold = gold + (trans[trans_steps] * mask[:, 1:]).sum(axis=1)
-        np.add.at(d_trans, trans_steps, -mask[:, 1:])
-    last_tags = tags[rows, lengths - 1]
-    gold = gold + end[last_tags]
-    np.add.at(d_end, last_tags, -1.0)
-
-    scale = 1.0 / batch
-    value = float((log_z - gold).sum() * scale)
-    return (value, d_emissions * scale, d_trans * scale,
-            d_start * scale, d_end * scale)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
 
 
-def crf_nll_fused(crf, emissions: Tensor, tags, mask) -> Tensor:
+def _logsumexp(x: np.ndarray, axis: int):
+    """Forward of :func:`repro.autodiff.functional.logsumexp` with
+    ``keepdims`` kept: the op sequence the tape records, plus the
+    residuals :func:`_logsumexp_vjp` needs."""
+    peak = x.max(axis=(axis,), keepdims=True)
+    shifted_exp = np.exp(x - peak)
+    total = shifted_exp.sum(axis=(axis,), keepdims=True)
+    return peak + np.log(total), (x, peak, shifted_exp, total)
+
+
+def _logsumexp_vjp(g: np.ndarray, residuals, axis: int) -> np.ndarray:
+    """Replay the tape's VJPs of ``peak + log(sum(exp(x - peak)))``.
+
+    ``peak``'s gradient is its direct term plus the ``sub`` term, in
+    that order; ``x``'s is the ``sub`` term plus the max term, whose
+    tie-split mask is rebuilt exactly as ``max_`` builds it."""
+    x, peak, shifted_exp, total = residuals
+    g_shifted = np.broadcast_to(g / total, x.shape) * shifted_exp
+    g_peak = g + _unbroadcast(-g_shifted, peak.shape)
+    ties = (x == peak).astype(DEFAULT_DTYPE)
+    ties = ties / ties.sum(axis=(axis,), keepdims=True)
+    return g_shifted + g_peak * ties
+
+
+def crf_nll_fused(crf, emissions, tags, mask) -> Tensor:
     """Mean CRF NLL of a padded batch as one fused tape node.
 
     ``crf`` is a :class:`~repro.crf.LinearChainCRF`; ``emissions`` is a
-    ``(B, L, T)`` tensor (gradients flow into it, and into the CRF's
-    transition/start/end parameters, via the analytic CRF gradient).
-    First-order only: backpropagating through this node with
-    ``create_graph=True`` raises ``RuntimeError``.
+    ``(B, L, T)`` tensor.  The value and the gradients for the emissions
+    and the CRF's transition/start/end parameters are bit-identical to
+    :meth:`~repro.crf.LinearChainCRF.batch_nll_padded`'s graph:
+
+    * the forward runs the graph's numpy ops in its order (the batched
+      forward algorithm with ``logsumexp`` as max, subtract, exp, sum,
+      log, add and ``where`` on the mask; then the gold-path gathers);
+    * the backward replays each primitive's VJP, and sums every
+      multi-contribution gradient in the tape's order: the log-partition
+      terms (transitions from step ``L-1`` down to 1) first, the gold
+      path's scatter last.
+
+    With ``L == 1`` the graph never reads the transitions, so their
+    gradient is ``None``.  First-order only: backpropagating through
+    this node with ``create_graph=True`` raises ``RuntimeError``.
     """
-    tags = np.asarray(tags, dtype=np.intp)
+    tags, mask = crf._check_nll_batch(emissions, tags, mask)
     emissions_t = emissions if isinstance(emissions, Tensor) else Tensor(emissions)
-    data = _as_array(emissions_t)
-    mask = _check_batch(data, mask)
+    data = emissions_t.data
     batch, length, num_tags = data.shape
-    if num_tags != crf.num_tags:
-        raise ValueError(
-            f"emissions have {num_tags} tags, CRF expects {crf.num_tags}"
-        )
-    if tags.shape != (batch, length):
-        raise ValueError("tags/mask shape mismatch with emissions")
     trans, start, end = crf._constrained_scores()
-    value, d_em, d_trans, d_start, d_end = _nll_and_grads(
-        trans, start, end, data, tags, mask
-    )
 
-    def make_vjp(const: np.ndarray):
-        const_t = Tensor(const)
+    # --- log partition: the batched forward algorithm ----------------
+    alpha = start.reshape((1, num_tags)) + data[:, 0, :]
+    steps = []
+    for t in range(1, length):
+        scores = (
+            alpha.reshape((batch, num_tags, 1))
+            + trans.reshape((1, num_tags, num_tags))
+        ) + data[:, t, :].reshape((batch, 1, num_tags))
+        new_alpha, residuals = _logsumexp(scores, axis=1)
+        live = np.broadcast_to(mask[:, t : t + 1] > 0, alpha.shape)
+        alpha = np.where(live, new_alpha.reshape((batch, num_tags)), alpha)
+        steps.append((residuals, live.astype(DEFAULT_DTYPE)))
+    log_z, final = _logsumexp(alpha + end.reshape((1, num_tags)), axis=1)
 
-        def vjp(g: Tensor) -> Tensor:
-            if is_grad_enabled():
-                raise RuntimeError(
-                    "the fused CRF NLL kernel is first-order only: its "
-                    "gradient is an analytic constant, so create_graph=True "
-                    "cannot differentiate through it — leave "
-                    "repro.perf.fastpath disabled for second-order work"
-                )
-            return mul(g, const_t)
+    # --- gold path ---------------------------------------------------
+    rows = np.arange(batch)
+    emit_index = (rows[:, None], np.arange(length)[None, :], tags)
+    gold = start[tags[:, 0]] + (data[emit_index] * mask).sum(axis=(1,))
+    trans_index = (tags[:, :-1], tags[:, 1:])
+    if length > 1:
+        gold = gold + (trans[trans_index] * mask[:, 1:]).sum(axis=(1,))
+    last_tags = tags[rows, mask.sum(axis=1).astype(np.intp) - 1]
+    gold = gold + end[last_tags]
+    nll = log_z.reshape((batch,)) - gold
+    value = nll.sum(axis=(0,)) / np.array(float(batch))
 
-        return vjp
+    def backward(g: np.ndarray):
+        g_nll = np.broadcast_to(
+            (g / np.array(float(batch))).reshape((1,)), (batch,)
+        )
+        # Log-partition contributions, in reverse step order.
+        g_final = _logsumexp_vjp(g_nll.reshape((batch, 1)), final, axis=1)
+        d_end = _unbroadcast(g_final, (1, num_tags)).reshape((num_tags,))
+        d_emissions = np.zeros(data.shape, dtype=DEFAULT_DTYPE)
+        d_trans = None
+        g_alpha = g_final
+        for t in range(length - 1, 0, -1):
+            residuals, live = steps[t - 1]
+            g_scores = _logsumexp_vjp(
+                (g_alpha * live).reshape((batch, 1, num_tags)), residuals,
+                axis=1,
+            )
+            d_emissions[:, t, :] = _unbroadcast(
+                g_scores, (batch, 1, num_tags)
+            ).reshape((batch, num_tags))
+            step_trans = _unbroadcast(
+                g_scores, (1, num_tags, num_tags)
+            ).reshape((num_tags, num_tags))
+            d_trans = step_trans if d_trans is None else d_trans + step_trans
+            g_alpha = g_alpha * (1.0 - live) + _unbroadcast(
+                g_scores, (batch, num_tags, 1)
+            ).reshape((batch, num_tags))
+        d_start = _unbroadcast(g_alpha, (1, num_tags)).reshape((num_tags,))
+        d_emissions[:, 0, :] = g_alpha
+
+        # Gold-path contributions come last, as scatters into zeros.
+        g_gold = -g_nll
+        d_emissions = d_emissions + scatter_array(
+            data.shape, emit_index, g_gold.reshape((batch, 1)) * mask
+        )
+        if d_trans is not None:
+            d_trans = d_trans + scatter_array(
+                trans.shape, trans_index,
+                g_gold.reshape((batch, 1)) * mask[:, 1:],
+            )
+        d_start = d_start + scatter_array(start.shape, tags[:, 0], g_gold)
+        d_end = d_end + scatter_array(end.shape, last_tags, g_gold)
+        return d_emissions, d_trans, d_start, d_end
 
     parents = (emissions_t, crf.transitions, crf.start_scores, crf.end_scores)
-    vjps = tuple(make_vjp(c) for c in (d_em, d_trans, d_start, d_end))
-    return _make(np.array(value), parents, vjps)
+    return _make(
+        value, parents, _fused_vjps(backward, len(parents), _SECOND_ORDER_MSG)
+    )

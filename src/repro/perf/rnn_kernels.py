@@ -107,29 +107,40 @@ def _scan_inputs(cell, x: Tensor, mask):
     return batch, length, mask, inverse, gates_x, record
 
 
-def _guarded_vjps(bptt, n: int):
+def _fused_vjps(backward, n: int, message: str):
     """VJP tuple for one fused node: shared lazy backward, grad-of-grad guard.
 
-    All parents receive the same output cotangent ``g``; the BPTT runs
-    once per distinct ``g`` and is cached by identity (the cache holds a
-    reference to ``g``, so an id can never be reused while cached).
+    All parents receive the same output cotangent ``g``; ``backward``
+    runs once per distinct ``g`` and is cached by identity (the cache
+    holds a reference to ``g``, so an id can never be reused while
+    cached).  A ``None`` gradient means the parent is unused.  Under
+    ``create_graph=True`` every VJP raises ``RuntimeError(message)``.
     """
     cache: list = []
 
     def run(g: Tensor):
         if is_grad_enabled():
-            raise RuntimeError(_SECOND_ORDER_MSG)
+            raise RuntimeError(message)
         if not (cache and cache[0] is g):
-            cache[:] = [g, bptt(np.asarray(g.data))]
+            cache[:] = [g, backward(np.asarray(g.data))]
         return cache[1]
 
     def make_vjp(index: int):
-        def vjp(g: Tensor) -> Tensor:
-            return Tensor(run(g)[index])
+        def vjp(g: Tensor) -> Tensor | None:
+            grad = run(g)[index]
+            return None if grad is None else Tensor(grad)
 
         return vjp
 
     return tuple(make_vjp(i) for i in range(n))
+
+
+def _guarded_vjps(bptt, n: int):
+    """The recurrent kernels' fused-node VJPs around their BPTT.
+
+    A name of its own so ``repobench``'s tracer can wrap it and time the
+    BPTT apart from the CRF kernel, which calls :func:`_fused_vjps`."""
+    return _fused_vjps(bptt, n, _SECOND_ORDER_MSG)
 
 
 # ----------------------------------------------------------------------

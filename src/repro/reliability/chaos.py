@@ -443,6 +443,93 @@ def _run_recurrent_kernel_parity(seed, check):
     }
 
 
+@_scenario(
+    "fused-nll-parity",
+    "fused CRF NLL flipped on/off mid-stream: NLL values and gradients "
+    "stay bit-identical to the graph, a short FewNER fit writes the same "
+    "checkpoint, the second-order guard trips",
+)
+def _run_fused_nll_parity(seed, check):
+    import numpy as np
+
+    from repro.autodiff.tensor import Tensor, grad
+    from repro.crf import LinearChainCRF
+    from repro.data.episodes import EpisodeSampler
+    from repro.data.synthetic import generate_dataset
+    from repro.data.vocab import CharVocabulary, Vocabulary
+    from repro.meta import FewNER, MethodConfig
+    from repro.models import BackboneConfig
+    from repro.perf.fastpath import fastpath
+
+    rng = np.random.default_rng(seed)
+    crf = LinearChainCRF(5, np.random.default_rng(seed + 1))
+    params = [crf.transitions, crf.start_scores, crf.end_scores]
+    batches = []
+    for _ in range(4):
+        batch, length = (int(n) for n in rng.integers(1, 7, size=2))
+        lengths = rng.integers(1, length + 1, size=batch)
+        batches.append((
+            np.round(rng.normal(size=(batch, length, 5)) * 2, 1),
+            rng.integers(0, 5, size=(batch, length)),
+            (np.arange(length)[None, :] < lengths[:, None]).astype(float),
+        ))
+
+    def nll_and_grads(emissions, tags, mask):
+        x = Tensor(emissions, requires_grad=True)
+        loss = crf.batch_nll_padded(x, tags, mask)
+        grads = grad(loss, [x] + params, allow_unused=True)
+        return [loss.data] + [None if g is None else g.data for g in grads]
+
+    identical = True
+    for index, batch in enumerate(batches):
+        # Alternate which route runs first, so the toggle lands mid-stream.
+        with fastpath(index % 2 == 0):
+            first = nll_and_grads(*batch)
+        with fastpath(index % 2 == 1):
+            second = nll_and_grads(*batch)
+        identical &= all(
+            (a is None and b is None)
+            or (a is not None and b is not None and a.tobytes() == b.tobytes())
+            for a, b in zip(first, second)
+        )
+    check("nll-values-and-gradients-bit-identical", identical)
+
+    guard_tripped = False
+    try:
+        emissions, tags, mask = batches[0]
+        x = Tensor(emissions, requires_grad=True)
+        grad(crf.batch_nll_padded(x, tags, mask), [x], create_graph=True)
+    except RuntimeError as exc:
+        guard_tripped = "fastpath(False)" in str(exc)
+    check("second-order-guard-trips", guard_tripped,
+          "create_graph=True through the fused NLL did not raise")
+
+    dataset = generate_dataset("OntoNotes", scale=0.02, seed=seed % 89)
+    word_vocab = Vocabulary.from_datasets([dataset])
+    char_vocab = CharVocabulary.from_datasets([dataset])
+    config = MethodConfig(
+        seed=seed, meta_batch=2, pretrain_iterations=1, inner_loss="crf",
+        backbone=BackboneConfig(word_dim=10, char_dim=6, char_filters=6,
+                                hidden=8, context_dim=4),
+    )
+
+    def checkpoint():
+        adapter = FewNER(word_vocab, char_vocab, 3, config)
+        sampler = EpisodeSampler(dataset, 3, 1, query_size=3, seed=seed + 2)
+        losses = adapter.fit(sampler, 2)
+        return losses, {k: v.tobytes()
+                        for k, v in adapter.model.state_dict().items()}
+
+    fused_losses, fused_state = checkpoint()
+    with fastpath(False):
+        graph_losses, graph_state = checkpoint()
+    check("fit-checkpoint-bit-identical",
+          fused_losses == graph_losses and fused_state == graph_state,
+          f"fused losses {fused_losses} != graph {graph_losses}"
+          if fused_losses != graph_losses else "parameters differ")
+    return {"batches": len(batches), "losses": fused_losses}
+
+
 # ----------------------------------------------------------------------
 # Training-layer scenario (guarded step)
 # ----------------------------------------------------------------------

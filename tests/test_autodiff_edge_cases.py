@@ -150,3 +150,108 @@ class TestGraphHygiene:
         b = Tensor([1.0])
         assert (a + b).requires_grad
         assert not (b + b).requires_grad
+
+
+class TestGraphLifetime:
+    """A graph is freed by reference counting alone, without the cycle
+    collector: no VJP closure holds its own output strongly."""
+
+    @staticmethod
+    def _dies_with_loss(build):
+        import gc
+        import weakref
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loss, intermediate = build()
+            probe = weakref.ref(intermediate)
+            loss.backward()
+            del intermediate
+            assert probe() is not None  # the loss still holds its graph
+            del loss
+            return probe() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("op", ["exp", "sqrt", "tanh", "sigmoid"])
+    def test_output_capturing_ops(self, rng, op):
+        x = Tensor(rng.uniform(0.5, 2.0, size=(3,)), requires_grad=True)
+
+        def build():
+            mid = getattr(x * 2.0, op)()
+            return (mid * mid).sum(), mid
+
+        assert self._dies_with_loss(build)
+
+    def test_backbone_loss_graph(self, tiny_dataset, tiny_vocabs):
+        from repro.data.tags import TagScheme
+        from repro.models import BackboneConfig, CNNBiGRUCRF
+
+        scheme = TagScheme(("PER", "LOC"))
+        wv, cv = tiny_vocabs
+        model = CNNBiGRUCRF(
+            wv, cv, scheme.num_tags,
+            BackboneConfig(word_dim=10, char_dim=6, char_filters=6,
+                           hidden=8, context_dim=4, dropout=0.0),
+            np.random.default_rng(0), tag_names=scheme.tags,
+        )
+        batch = model.encode(tiny_dataset.sentences[:3], scheme)
+
+        def build():
+            scores = model.emission_scores(batch, model.new_context())
+            return model.crf.batch_nll_padded(
+                scores, np.zeros(batch.mask.shape, dtype=int), batch.mask
+            ), scores
+
+        assert self._dies_with_loss(build)
+
+    @pytest.mark.parametrize("op", ["exp", "sqrt", "tanh", "sigmoid"])
+    def test_double_backward_still_checks(self, rng, op):
+        x = Tensor(rng.uniform(0.5, 2.0, size=(3,)), requires_grad=True)
+
+        def first_grad_norm(a):
+            (g,) = grad(getattr(a, op)().sum(), [a], create_graph=True)
+            return (g * g).sum()
+
+        assert gradcheck(first_grad_norm, [x])
+
+
+class TestScatterOracle:
+    """``scatter_to`` (``np.bincount``) against the ``np.add.at`` scatter
+    it replaced: bit-equal, duplicates accumulated in the same order."""
+
+    SHAPE = (4, 5, 6)
+
+    def cases(self, rng):
+        yield (rng.integers(0, 4, 30),)  # duplicates on one axis
+        yield (rng.integers(-4, 4, (3, 7)), rng.integers(-5, 5, (3, 7)))
+        yield rng.random(self.SHAPE) > 0.5  # boolean
+        yield (rng.integers(0, 4, (5, 1)), rng.integers(0, 5, (1, 8)))
+        yield (np.array([], dtype=np.intp),)  # empty
+        yield (rng.integers(0, 4, 9), slice(None), rng.integers(0, 6, 9))
+        yield (slice(1, 3), rng.integers(0, 5, 12))
+
+    def test_bit_equal_to_add_at(self, rng):
+        from tests.reference.autodiff import add_at_scatter
+
+        for _ in range(20):
+            for index in self.cases(rng):
+                selected = np.zeros(self.SHAPE)[index].shape
+                values = rng.normal(size=selected) * 10.0 ** rng.integers(
+                    -6, 6, size=selected
+                )
+                got = scatter_to(self.SHAPE, index, Tensor(values)).data
+                want = add_at_scatter(self.SHAPE, index, values)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_broadcast_values(self, rng):
+        from repro.autodiff.tensor import scatter_array
+        from tests.reference.autodiff import add_at_scatter
+
+        index = (rng.integers(0, 4, (6, 1)), rng.integers(0, 5, (1, 3)))
+        values = rng.normal(size=(3, 6))  # broadcast over the index axes
+        assert scatter_array(self.SHAPE, index, values).tobytes() == \
+            add_at_scatter(self.SHAPE, index, values).tobytes()

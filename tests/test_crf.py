@@ -127,6 +127,27 @@ class TestBatchedPadded:
             [em, crf.transitions, crf.start_scores, crf.end_scores],
         )
 
+    MALFORMED = {
+        "empty-batch": ((0, 3, 3), np.zeros((0, 3)), np.ones((0, 3))),
+        "zero-length": ((2, 0, 3), np.zeros((2, 0)), np.ones((2, 0))),
+        "tag-count": ((2, 3, 4), np.zeros((2, 3)), np.ones((2, 3))),
+        "tag-out-of-range": ((2, 3, 3), np.array([[0, 3, 1], [0, 0, 0]]),
+                             np.ones((2, 3))),
+        "non-prefix-mask": ((2, 4, 3), np.zeros((2, 4)),
+                            np.array([[1, 0, 1, 1], [1, 1, 1, 1]])),
+    }
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "graph"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_batch_rejected_on_both_routes(self, rng, case, fused):
+        from repro.perf import fastpath
+
+        crf = LinearChainCRF(3, rng)
+        shape, tags, mask = self.MALFORMED[case]
+        emissions = Tensor(rng.normal(size=shape), requires_grad=True)
+        with fastpath(fused), pytest.raises(ValueError):
+            crf.batch_nll_padded(emissions, tags.astype(int), mask)
+
     def test_empty_first_token_rejected(self, rng):
         crf = LinearChainCRF(2, rng)
         with pytest.raises(ValueError):

@@ -92,6 +92,17 @@ class TestInnerLossChoice:
         predictions = adapter.predict_episode(episode)
         assert len(predictions) == len(episode.query)
 
+    def test_second_order_crf_inner_step_runs_on_graph_nll(self, env):
+        """A lone second-order φ step (the E6 timing pattern) with the
+        CRF inner loss scopes itself off the first-order fused NLL."""
+        from repro.perf import fused_nll_enabled
+
+        wv, cv, _sampler, episode = env
+        adapter = FewNER(wv, cv, N_WAY, make_config(inner_loss="crf"))
+        phi = adapter._inner_adapt(episode, 1, create_graph=True)
+        assert phi._node is not None and np.isfinite(phi.data).all()
+        assert fused_nll_enabled()
+
     def test_inner_dropout_flag(self, env):
         wv, cv, sampler, episode = env
         adapter = FewNER(wv, cv, N_WAY, make_config(

@@ -161,15 +161,21 @@ class TestContextConditioning:
             model.loss(batch, Tensor(np.zeros(4)))
 
     def test_inner_step_second_order_flow(self, tiny_dataset, tiny_vocabs, scheme):
-        """One φ inner step then outer grad w.r.t. θ (the FEWNER pattern)."""
+        """One φ inner step then outer grad w.r.t. θ (the FEWNER pattern).
+
+        Second order needs the graph NLL: the fused kernel is first-order
+        only, so the whole outer iteration runs under ``fastpath(False)``."""
+        from repro.perf import fastpath
+
         model = build_model(tiny_vocabs, scheme)
         model.eval()
         batch = model.encode(tiny_dataset.sentences[:3], scheme)
-        phi = model.new_context()
-        (g_phi,) = grad(model.loss(batch, phi), [phi], create_graph=True)
-        phi1 = phi - Tensor(np.array(0.1)) * g_phi
-        outer = model.loss(batch, phi1)
-        grads = grad(outer, model.parameters(), allow_unused=True)
+        with fastpath(False):
+            phi = model.new_context()
+            (g_phi,) = grad(model.loss(batch, phi), [phi], create_graph=True)
+            phi1 = phi - Tensor(np.array(0.1)) * g_phi
+            outer = model.loss(batch, phi1)
+            grads = grad(outer, model.parameters(), allow_unused=True)
         assert any(g is not None and np.abs(g.data).sum() > 0 for g in grads)
 
 

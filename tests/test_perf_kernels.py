@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff.tensor import Tensor
+from repro.autodiff.tensor import Tensor, grad
 from repro.crf import LinearChainCRF, bio_start_mask, bio_transition_mask
 from repro.perf import (
     DEFAULT_FASTPATH_STATE,
@@ -11,7 +11,7 @@ from repro.perf import (
     fastpath_state,
     fused_nll_enabled,
 )
-from repro.perf.kernels import crf_forward_batch, crf_nll_fused
+from repro.perf.kernels import crf_nll_fused
 
 
 @pytest.fixture
@@ -32,29 +32,11 @@ def random_batch(rng, batch=None, length=None, num_tags=None):
 
 
 def grad_of(x):
-    """Gradient as an array; a never-touched parameter counts as zeros
-    (the legacy graph skips transitions entirely for length-1 batches,
-    while the fused kernel reports an explicit zero gradient)."""
+    """Gradient as an array, or ``None`` for a never-touched parameter
+    (both routes skip the transitions entirely for length-1 batches)."""
     if x.grad is None:
-        return np.zeros(np.shape(x.data))
+        return None
     return np.asarray(x.grad.data if hasattr(x.grad, "data") else x.grad)
-
-
-class TestForwardParity:
-    def test_log_partition_matches_per_sentence(self, rng):
-        for _ in range(15):
-            emissions, _tags, mask, lengths, num_tags = random_batch(rng)
-            crf = LinearChainCRF(num_tags, rng)
-            trans = crf.transitions.data + crf._transition_penalty
-            start = crf.start_scores.data + crf._start_penalty
-            log_z = crf_forward_batch(
-                trans, start, crf.end_scores.data, emissions, mask
-            )
-            for b in range(emissions.shape[0]):
-                expected = crf.log_partition(
-                    Tensor(emissions[b, : lengths[b]])
-                ).item()
-                assert log_z[b] == pytest.approx(expected, abs=1e-10)
 
 
 class TestDecodeParity:
@@ -125,23 +107,61 @@ class TestDecodeParity:
             crf.viterbi_decode_batch(np.zeros((2, 4, 5)), np.ones((2, 4)))
 
 
+def nll_and_grads(crf, emissions, tags, mask, fused, history=False):
+    """Value and the four gradients of the padded NLL on one route.
+
+    ``history`` puts an autodiff op between the leaf and the emissions,
+    so the kernel's emission gradient must flow on into the graph."""
+    for p in (crf.transitions, crf.start_scores, crf.end_scores):
+        p.grad = None
+    leaf = Tensor(emissions, requires_grad=True)
+    scores = leaf * Tensor(np.array(1.5)) if history else leaf
+    with fastpath(fused):
+        loss = crf.batch_nll_padded(scores, tags, mask)
+    (loss * Tensor(np.array(0.25))).backward()
+    return loss.item(), [
+        grad_of(t)
+        for t in (leaf, crf.transitions, crf.start_scores, crf.end_scores)
+    ]
+
+
+def assert_routes_identical(crf, emissions, tags, mask, history=False):
+    graph_value, graph_grads = nll_and_grads(
+        crf, emissions, tags, mask, False, history
+    )
+    fused_value, fused_grads = nll_and_grads(
+        crf, emissions, tags, mask, True, history
+    )
+    assert fused_value == graph_value
+    for name, fast, slow in zip(("emissions", "transitions", "start", "end"),
+                                fused_grads, graph_grads):
+        if slow is None:
+            assert fast is None, name
+        else:
+            assert fast.shape == slow.shape, name
+            # Byte equality: bit-identical, signed zeros included.
+            assert fast.tobytes() == slow.tobytes(), name
+
+
 class TestFusedNLL:
     def test_value_matches_autodiff(self, rng):
         for _ in range(10):
             emissions, tags, mask, _lengths, num_tags = random_batch(rng)
             crf = LinearChainCRF(num_tags, rng)
-            slow = crf.batch_nll_padded(Tensor(emissions), tags, mask)
+            with fastpath(False):
+                slow = crf.batch_nll_padded(Tensor(emissions), tags, mask)
             fast = crf_nll_fused(crf, Tensor(emissions), tags, mask)
-            assert fast.item() == pytest.approx(slow.item(), abs=1e-10)
+            assert fast.item() == slow.item()
 
     def test_gradients_match_autodiff(self, rng):
         for _ in range(8):
             emissions, tags, mask, _lengths, num_tags = random_batch(rng)
             crf = LinearChainCRF(num_tags, rng)
             e_slow = Tensor(emissions, requires_grad=True)
-            crf.batch_nll_padded(e_slow, tags, mask).backward()
+            with fastpath(False):
+                crf.batch_nll_padded(e_slow, tags, mask).backward()
             expected = {
-                name: grad_of(p).copy()
+                name: grad_of(p)
                 for name, p in (("trans", crf.transitions),
                                 ("start", crf.start_scores),
                                 ("end", crf.end_scores))
@@ -150,15 +170,14 @@ class TestFusedNLL:
                 p.grad = None
             e_fast = Tensor(emissions, requires_grad=True)
             crf_nll_fused(crf, e_fast, tags, mask).backward()
-            np.testing.assert_allclose(
-                grad_of(e_fast), grad_of(e_slow), atol=1e-8
-            )
+            assert np.array_equal(grad_of(e_fast), grad_of(e_slow))
             for name, p in (("trans", crf.transitions),
                             ("start", crf.start_scores),
                             ("end", crf.end_scores)):
-                np.testing.assert_allclose(
-                    grad_of(p), expected[name], atol=1e-8, err_msg=name
-                )
+                if expected[name] is None:
+                    assert grad_of(p) is None, name
+                else:
+                    assert np.array_equal(grad_of(p), expected[name]), name
 
     def test_second_order_rejected(self, rng):
         crf = LinearChainCRF(3, rng)
@@ -167,6 +186,19 @@ class TestFusedNLL:
         loss = crf_nll_fused(crf, emissions, tags, np.ones((2, 4)))
         with pytest.raises(RuntimeError, match="first-order"):
             loss.backward(create_graph=True)
+
+    def test_default_route_names_the_switch_under_create_graph(self, rng):
+        crf = LinearChainCRF(3, rng)
+        emissions = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        tags = rng.integers(0, 3, size=(2, 4))
+        loss = crf.batch_nll_padded(emissions, tags, np.ones((2, 4)))
+        with pytest.raises(RuntimeError, match=r"fastpath\(False\)"):
+            grad(loss, [emissions], create_graph=True)
+        with fastpath(False):
+            loss = crf.batch_nll_padded(emissions, tags, np.ones((2, 4)))
+            (g,) = grad(loss, [emissions], create_graph=True)
+            (gg,) = grad((g * g).sum(), [emissions])
+        assert np.isfinite(gg.data).all()
 
     def test_validation(self, rng):
         crf = LinearChainCRF(3, rng)
@@ -182,23 +214,87 @@ class TestFusedNLL:
             )
 
 
+class TestFusedNLLBitIdentity:
+    """The kernel against the graph it replays: ``==`` on the value and
+    on all four gradients, signed zeros included."""
+
+    def test_random_ragged_batches(self, rng):
+        for _ in range(60):
+            emissions, tags, mask, _lengths, num_tags = random_batch(rng)
+            assert_routes_identical(
+                LinearChainCRF(num_tags, rng), emissions, tags, mask
+            )
+
+    def test_bio_constraints(self, rng):
+        names = ["O", "B-0", "I-0", "B-1", "I-1"]
+        for _ in range(20):
+            crf = LinearChainCRF(
+                5, rng, bio_transition_mask(names), bio_start_mask(names)
+            )
+            emissions, tags, mask, _lengths, _ = random_batch(
+                rng, num_tags=5
+            )
+            assert_routes_identical(crf, emissions, tags, mask)
+
+    def test_quantised_emissions_tie(self, rng):
+        """Integer scores and zero transitions tie the max of the
+        log-sum-exp; the tie-split mask must be replayed exactly."""
+        for _ in range(20):
+            emissions, tags, mask, _lengths, num_tags = random_batch(rng)
+            crf = LinearChainCRF(num_tags, rng)
+            crf.transitions.data[:] = 0.0
+            assert_routes_identical(crf, np.round(emissions), tags, mask)
+
+    def test_single_sentence_and_single_tag(self, rng):
+        for batch, num_tags in ((1, 4), (1, 1), (3, 1)):
+            for _ in range(5):
+                emissions, tags, mask, _lengths, _ = random_batch(
+                    rng, batch=batch, num_tags=num_tags
+                )
+                assert_routes_identical(
+                    LinearChainCRF(num_tags, rng), emissions, tags, mask
+                )
+
+    def test_emissions_with_history(self, rng):
+        for _ in range(10):
+            emissions, tags, mask, _lengths, num_tags = random_batch(rng)
+            assert_routes_identical(
+                LinearChainCRF(num_tags, rng), emissions, tags, mask,
+                history=True,
+            )
+
+    def test_length_one_leaves_transitions_without_gradient(self, rng):
+        emissions, tags, mask, _lengths, num_tags = random_batch(
+            rng, batch=3, length=1
+        )
+        crf = LinearChainCRF(num_tags, rng)
+        assert_routes_identical(crf, emissions, tags, mask)
+        _value, grads = nll_and_grads(crf, emissions, tags, mask, True)
+        assert grads[1] is None
+        assert all(g is not None for g in (grads[0], grads[2], grads[3]))
+
+
 class TestFastpathSwitches:
     def test_defaults(self):
         assert fastpath_state() == DEFAULT_FASTPATH_STATE
-        assert not fused_nll_enabled()
+        assert fused_nll_enabled()
 
     def test_fastpath_routes_padded_nll(self, rng):
         emissions, tags, mask, _lengths, num_tags = random_batch(rng)
         crf = LinearChainCRF(num_tags, rng)
-        with fastpath():
-            assert fused_nll_enabled()
-            routed = crf.batch_nll_padded(
-                Tensor(emissions, requires_grad=True), tags, mask
-            )
-        assert not fused_nll_enabled()
+        routed = crf.batch_nll_padded(
+            Tensor(emissions, requires_grad=True), tags, mask
+        )
         # The fused loss is a single tape node: its parents are exactly
         # the emissions and the three CRF parameter tensors.
         assert len(routed._node.parents) == 4
+        with fastpath(False):
+            assert not fused_nll_enabled()
+            graph = crf.batch_nll_padded(
+                Tensor(emissions, requires_grad=True), tags, mask
+            )
+        assert fused_nll_enabled()
+        assert len(graph._node.parents) == 2  # sum / batch size
 
     def test_only_semantic_switches_remain(self):
         """Each switch left guards a first-order-only fast path."""
