@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-tables-smoke examples lint verify-kernels verify-reliability verify-serving verify-gateway verify-overload verify-chaos verify-obs verify-store verify-trace
+.PHONY: install test bench bench-smoke bench-tables-smoke examples lint verify-kernels verify-executor verify-reliability verify-serving verify-gateway verify-overload verify-chaos verify-obs verify-store verify-trace
 
 install:
 	$(PYTHON) setup.py develop
@@ -16,6 +16,15 @@ verify-kernels:
 	    tests/test_perf_fused_checkpoints.py -q
 	PYTHONPATH=src $(PYTHON) -m repro chaos soak \
 	    --scenario fused-nll-parity --scenario recurrent-kernel-parity \
+	    --max-rounds 1 --seed 0
+
+verify-executor:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_perf_executor.py \
+	    tests/test_perf_supervisor.py \
+	    tests/test_golden_eval.py -q
+	PYTHONPATH=src $(PYTHON) -m repro chaos soak \
+	    --scenario executor-crash --scenario executor-hang \
+	    --scenario executor-corrupt --scenario episode-eval-crash \
 	    --max-rounds 1 --seed 0
 
 verify-reliability:

@@ -134,8 +134,13 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
       the episode index, so results are identical for *any* worker count
       (``workers=1`` runs serially, ``workers=N`` forks N processes via
       :class:`repro.perf.EpisodeExecutor`; both produce the same
-      scores).  Under a budget, parallel evaluation proceeds in chunks
-      of ``workers`` episodes with the deadline checked between chunks.
+      scores).  All episodes go to one
+      :meth:`~repro.perf.EpisodeExecutor.run` call, so ``workers=N``
+      forks one pool per evaluation.  Under a budget, an episode at or
+      past ``min_episodes`` whose first attempt would start after the
+      deadline is skipped, retries of episodes that already started
+      still run, and the scores are those of the completed prefix of
+      ``episodes`` — the same rule for every worker count.
 
     ``fast`` wraps each adaptation in the fused CRF NLL fast path
     (:func:`repro.perf.fastpath.fastpath`).  That path is on by default
@@ -157,7 +162,7 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
     import time
 
     from repro import obs
-    from repro.perf.executor import ExecutionReport, EpisodeExecutor
+    from repro.perf.executor import ERROR, EpisodeExecutor
     from repro.perf.fastpath import fastpath
 
     def score_episode(episode: Episode, index: int) -> float:
@@ -176,19 +181,16 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
         else time.monotonic() + budget_seconds
     )
 
-    def expired(done: int) -> bool:
-        return (deadline is not None and done >= min_episodes
-                and time.monotonic() >= deadline)
-
-    truncated = False
     if workers == 0:
         # Legacy serial stream: episodes share the adapter's RNG
         # sequentially; any exception propagates to the caller.
         scores: list[float] = []
+        truncated = False
         with obs.span("evaluate", method=adapter.name,
                       episodes=len(episodes), workers=workers):
             for i, episode in enumerate(episodes):
-                if expired(len(scores)):
+                if (deadline is not None and len(scores) >= min_episodes
+                        and time.monotonic() >= deadline):
                     truncated = True
                     break
                 with obs.span("episode", index=i):
@@ -200,8 +202,8 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
             truncated=truncated,
         )
 
-    # Supervised episode-parallel discipline (workers >= 1); proceeds in
-    # chunks of ``workers`` with the budget checked between chunks.
+    # Supervised episode-parallel discipline (workers >= 1): one pool
+    # for all episodes, with the deadline applied where they dispatch.
     executor = EpisodeExecutor(
         workers=workers, task_timeout_s=task_timeout_s,
         max_attempts=max_attempts, fault_injector=fault_injector,
@@ -216,49 +218,20 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
         with obs.suspended():
             return score_episode(episode, index)
 
-    chunk = max(int(workers), 1)
-    t0 = time.perf_counter()
-    tasks, results, modes = [], [], set()
-    pool_restarts = 0
-    refunds = 0
-    fallback_reason = None
-    base = 0
     with obs.span("evaluate", method=adapter.name,
                   episodes=len(episodes), workers=workers):
-        while base < len(episodes):
-            if expired(len(results)):
-                truncated = True
-                break
-            part = episodes[base : base + chunk]
-            report = executor.run(
-                lambda ep, j, _base=base: work(ep, _base + j), part
-            )
-            for record in report.tasks:
-                record.index += base  # chunk-local -> episode index
-            tasks.extend(report.tasks)
-            results.extend(report.results)
-            modes.add(report.mode)
-            pool_restarts += report.pool_restarts
-            refunds += report.refunds
-            fallback_reason = fallback_reason or report.fallback_reason
-            base += chunk
-    failed = tuple(t.index for t in tasks if t.outcome == "error")
-    failed_set = set(failed)
-    scores = [value for i, value in enumerate(results)
-              if i not in failed_set]
+        execution = executor.run(work, episodes, deadline=deadline,
+                                 min_episodes=min_episodes)
+    tasks = execution.tasks
+    failed = execution.failed_indices
+    scores = [value for value, record in zip(execution.results, tasks)
+              if record.outcome != ERROR]
     if not scores:
         raise RuntimeError(
-            f"all {len(results)} evaluated episodes failed "
+            f"all {len(tasks)} evaluated episodes failed "
             f"({adapter.name}); first error: "
             f"{tasks[failed[0]].errors[-1] if failed else 'none run'}"
         )
-    execution = ExecutionReport(
-        mode=("parallel-degraded" if fallback_reason is not None
-              else "parallel" if "parallel" in modes else "serial"),
-        workers=workers, tasks=tasks, results=results,
-        fallback_reason=fallback_reason, pool_restarts=pool_restarts,
-        refunds=refunds, wall_time_s=time.perf_counter() - t0,
-    )
     if obs.enabled():
         # Per-episode telemetry on the parallel path comes from the
         # supervisor-side task records (deterministic modulo wall_s),
@@ -271,15 +244,15 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
         obs.count("executor.retries", len(execution.retried_indices))
         obs.count("executor.quarantined", len(execution.quarantined_indices))
         obs.count("executor.errors", len(failed))
-        obs.count("executor.pool_restarts", pool_restarts)
-        obs.count("executor.refunds", refunds)
+        obs.count("executor.pool_restarts", execution.pool_restarts)
+        obs.count("executor.refunds", execution.refunds)
         if not execution.clean:
             obs.emit("execution", method=adapter.name, **execution.summary())
     return EvaluationResult(
         method=adapter.name,
         ci=aggregate_f1(scores),
         episode_scores=tuple(scores),
-        truncated=truncated,
+        truncated=len(tasks) < len(episodes),
         execution=execution,
         failed_episodes=failed,
     )

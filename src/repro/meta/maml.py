@@ -53,7 +53,7 @@ class MAML(Adapter):
         import contextlib
 
         from repro import obs
-        from repro.perf.fastpath import recurrent_kernel
+        from repro.perf.fastpath import fastpath, recurrent_kernel
 
         with obs.span("encode"):
             batch = self.model.encode(list(episode.support), episode.scheme)
@@ -63,14 +63,17 @@ class MAML(Adapter):
         if not self.config.inner_dropout:
             self.model.eval()
         # Second-order MAML differentiates *through* the inner gradients,
-        # and those cross the recurrent encoder with every parameter as a
-        # requested input — the fused recurrent kernel is first-order
-        # only, so fall back to the per-timestep tape for this loop.
-        rnn_mode = (
-            recurrent_kernel(False) if create_graph else contextlib.nullcontext()
+        # and those cross the recurrent encoder and the CRF NLL with every
+        # parameter as a requested input.  Both fused kernels are
+        # first-order only, so fall back to the tape for this loop.  The
+        # two switches stay separate: inside ``fit`` the NLL one is
+        # already off for the whole outer iteration.
+        rnn_mode, nll_mode = (
+            (recurrent_kernel(False), fastpath(False)) if create_graph
+            else (contextlib.nullcontext(), contextlib.nullcontext())
         )
         try:
-            with obs.span("inner_loop", steps=steps), rnn_mode:
+            with obs.span("inner_loop", steps=steps), rnn_mode, nll_mode:
                 for _k in range(steps):
                     with override_params(self.model, fast):
                         loss = self.model.loss(batch)

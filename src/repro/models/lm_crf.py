@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, matmul
+from repro.autodiff.tensor import Tensor, matmul, no_grad
 from repro.crf import LinearChainCRF, bio_start_mask, bio_transition_mask
 from repro.data.sentence import Sentence
 from repro.data.tags import TagScheme
@@ -49,6 +49,12 @@ class LMTagger(Module):
             for s in sentences
         ]
 
+    def _inference_emissions(self, sentences: list[Sentence]) -> list[np.ndarray]:
+        """Per-sentence emission scores off the tape: decoding records
+        nothing for backward."""
+        with no_grad():
+            return [e.data for e in self.emissions(sentences)]
+
     def loss(self, sentences: list[Sentence], scheme: TagScheme) -> Tensor:
         tags = [
             np.asarray(
@@ -71,7 +77,7 @@ class LMTagger(Module):
         if not sentences:
             return []
         paths, _statuses = decode_emissions_within(
-            self.crf, self.emissions(sentences)
+            self.crf, self._inference_emissions(sentences)
         )
         return paths
 
@@ -92,9 +98,8 @@ class LMTagger(Module):
 
         if not sentences:
             return [], []
-        emissions = self.emissions(sentences)
         return decode_emissions_within(
-            self.crf, emissions, deadline=deadline,
+            self.crf, self._inference_emissions(sentences), deadline=deadline,
             on_sentence=on_sentence, allow_viterbi=allow_viterbi,
         )
 

@@ -22,7 +22,6 @@ repository root.
 from repro.perf.executor import (
     EpisodeExecutor,
     ExecutionReport,
-    ExecutorError,
     TaskRecord,
 )
 from repro.perf.fastpath import (
@@ -37,7 +36,6 @@ from repro.perf.fastpath import (
 __all__ = [
     "EpisodeExecutor",
     "ExecutionReport",
-    "ExecutorError",
     "TaskRecord",
     "DEFAULT_FASTPATH_STATE",
     "fastpath",

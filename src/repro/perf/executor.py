@@ -32,6 +32,10 @@ of forked worker processes.  Design constraints, in order:
   fails it becomes an ``"error"`` task record (the executor analogue of
   a :mod:`repro.reliability.journal` ``ERR`` cell) instead of aborting
   the run.
+* **Deadline** — with a monotonic ``deadline``, an index at or past
+  ``min_episodes`` whose *first* attempt would start after it is
+  skipped (retries of started indices still run), and the report
+  covers exactly the completed prefix of the items.
 * **Graceful degradation** — when fork is unavailable (platform or
   nesting) or ``workers <= 1``, the same work runs serially in the same
   order.  If supervision itself fails mid-flight, the failure reason is
@@ -46,7 +50,6 @@ can account for exactly what self-healing had to do.
 from __future__ import annotations
 
 import collections
-import heapq
 import multiprocessing
 import os
 import threading
@@ -54,8 +57,6 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
-
-import numpy as np
 
 #: Fork-inherited payload: ``(work_fn, items, injector, ctrl_queue)``.
 #: Set only while a pool exists, and only under :data:`_PAYLOAD_LOCK` —
@@ -69,15 +70,24 @@ OK = "ok"                #: succeeded on the first attempt
 RECOVERED = "recovered"  #: succeeded after at least one retry
 ERROR = "error"          #: never succeeded (an ``ERR``-style cell)
 PENDING = "pending"      #: not finished yet (only seen mid-run)
+SKIPPED = "skipped"      #: not started by the deadline (only seen mid-run)
 
 
-def _run_index(index: int, attempt: int):
+def _past(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() >= deadline
+
+
+def _run_index(index: int, attempt: int, skip_after: float | None):
     """Worker entry point: run one item of the fork-inherited payload.
 
+    Returns ``None`` without running when ``skip_after`` (the deadline,
+    passed only for a first attempt that may be skipped) has passed.
     Announces ``start``/``done`` on the control queue so the supervisor
     can attribute a crash or hang to the exact index, and measures the
     attempt's wall time worker-side (exact, unaffected by polling).
     """
+    if _past(skip_after):
+        return None
     work_fn, items, injector, ctrl = _PAYLOAD
     pid = os.getpid()
     if ctrl is not None:
@@ -118,8 +128,10 @@ class TaskRecord:
 class ExecutionReport:
     """What a :meth:`EpisodeExecutor.run` actually did, per index.
 
-    ``results`` is ordered like the input items; indices whose record
-    ended in :data:`ERROR` hold ``None`` there.
+    ``tasks`` and ``results`` cover the completed prefix of the input
+    items (all of them unless a deadline skipped the rest), ordered like
+    the items; indices whose record ended in :data:`ERROR` hold ``None``
+    in ``results``.
     """
 
     mode: str  #: ``"serial"`` | ``"parallel"`` | ``"parallel-degraded"``
@@ -186,10 +198,6 @@ class ExecutionReport:
         return line
 
 
-class ExecutorError(RuntimeError):
-    """Raised by :meth:`EpisodeExecutor.map` when indices end in ERROR."""
-
-
 class EpisodeExecutor:
     """Map a work function over items under a supervised worker pool.
 
@@ -199,15 +207,8 @@ class EpisodeExecutor:
     string to reject a corrupt result (a rejected result counts as a
     failed attempt); ``fault_injector`` is the test-only chaos hook
     consulted inside each worker (see
-    :meth:`repro.reliability.faults.FaultInjector.worker_fault`).
-
-    ``retry_backoff_s`` > 0 delays each retry by a *jittered exponential*
-    backoff — ``base * 2^(attempt-1) * (0.5 + u)`` with ``u`` drawn from
-    a generator seeded by ``(backoff_seed, attempt, index)``, so the
-    schedule is fully deterministic for a given seed yet retries after a
-    correlated failure (a pool rebuild, a mass crash) fan out instead of
-    retrying in lockstep.  The default ``0.0`` keeps the historical
-    retry-immediately behaviour.
+    :meth:`repro.reliability.faults.FaultInjector.worker_fault`).  A
+    failed attempt is retried immediately.
     """
 
     def __init__(self, workers: int = 0, start_method: str = "fork",
@@ -215,8 +216,6 @@ class EpisodeExecutor:
                  max_attempts: int = 3,
                  poll_interval_s: float = 0.02,
                  stall_timeout_s: float = 30.0,
-                 retry_backoff_s: float = 0.0,
-                 backoff_seed: int = 0,
                  fault_injector=None,
                  validate_fn: Callable[[object, int], str | None] | None = None):
         if workers < 0:
@@ -227,22 +226,14 @@ class EpisodeExecutor:
             raise ValueError(
                 f"task_timeout_s must be positive, got {task_timeout_s}"
             )
-        if retry_backoff_s < 0:
-            raise ValueError(
-                f"retry_backoff_s must be >= 0, got {retry_backoff_s}"
-            )
         self.workers = int(workers)
         self.start_method = start_method
         self.task_timeout_s = task_timeout_s
         self.max_attempts = int(max_attempts)
         self.poll_interval_s = poll_interval_s
         self.stall_timeout_s = stall_timeout_s
-        self.retry_backoff_s = float(retry_backoff_s)
-        self.backoff_seed = int(backoff_seed)
         self.fault_injector = fault_injector
         self.validate_fn = validate_fn
-        self.last_report: ExecutionReport | None = None
-        self._last_errors: dict[int, BaseException] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -258,30 +249,16 @@ class EpisodeExecutor:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def map(self, work_fn: Callable, items: Sequence) -> list:
-        """Run ``work_fn(item, index)`` for every item; ordered results.
+    def run(self, work_fn: Callable, items: Sequence,
+            deadline: float | None = None,
+            min_episodes: int = 1) -> ExecutionReport:
+        """Run ``work_fn(item, index)`` for every item in one pool.
 
-        Compatibility wrapper over :meth:`run`: if any index ended in
-        :data:`ERROR` the underlying exception is re-raised (the first
-        one, by index), so callers that cannot tolerate holes keep the
-        historical raise-through behaviour.  Callers that *can* tolerate
-        ``ERR`` cells should use :meth:`run` and read the report.
-        """
-        report = self.run(work_fn, items)
-        failed = report.failed_indices
-        if failed:
-            exc = self._last_errors.get(failed[0])
-            if exc is not None:
-                raise exc
-            record = report.tasks[failed[0]]
-            raise ExecutorError(
-                f"index {failed[0]} failed after {record.attempts} "
-                f"attempt(s): {record.errors[-1] if record.errors else '?'}"
-            )
-        return report.results
-
-    def run(self, work_fn: Callable, items: Sequence) -> ExecutionReport:
-        """Execute every item; returns the full :class:`ExecutionReport`.
+        ``deadline`` is a :func:`time.monotonic` instant.  An index at or
+        past ``min_episodes`` whose first attempt would start after it is
+        skipped; retries of indices that already started still run.  The
+        report then covers exactly the completed prefix ``[0, k)``, where
+        ``k`` is the first skipped index.
 
         Never raises for work-function failures — they end as
         :data:`ERROR` records with ``results[index] is None``.  Only a
@@ -290,64 +267,64 @@ class EpisodeExecutor:
         design.
         """
         items = list(items)
+        n = len(items)
         t_run = time.perf_counter()
-        records = [TaskRecord(index=i) for i in range(len(items))]
-        results: list = [None] * len(items)
-        self._last_errors = {}
-        if not items:
-            report = ExecutionReport(mode="serial", workers=self.workers)
-            self.last_report = report
-            return report
-        if not self.parallel_available:
-            self._run_serial(work_fn, items, records, results,
-                             range(len(items)))
-            report = ExecutionReport(
-                mode="serial", workers=self.workers, tasks=records,
-                results=results, wall_time_s=time.perf_counter() - t_run,
-            )
-            self.last_report = report
-            return report
-
-        mode = "parallel"
+        records = [TaskRecord(index=i) for i in range(n)]
+        results: list = [None] * n
+        mode = "serial"
         fallback_reason = None
-        pool_restarts = 0
-        refunds = 0
-        quarantine: list[int] = []
-        try:
-            pool_restarts, refunds = self._supervise(
-                work_fn, items, records, results, quarantine
-            )
-        except Exception as exc:
-            fallback_reason = f"{type(exc).__name__}: {exc}"
-            mode = "parallel-degraded"
-            warnings.warn(
-                f"parallel execution degraded to serial "
-                f"({fallback_reason}); re-running only the "
-                f"{sum(1 for r in records if r.outcome == PENDING)} "
-                f"unfinished item(s)",
-                stacklevel=2,
-            )
-        # Quarantined poison items and anything stranded by a supervision
+        pool_restarts = refunds = 0
+        if n and self.parallel_available:
+            mode = "parallel"
+            try:
+                pool_restarts, refunds = self._supervise(
+                    work_fn, items, records, results, deadline, min_episodes
+                )
+            except Exception as exc:
+                fallback_reason = f"{type(exc).__name__}: {exc}"
+                mode = "parallel-degraded"
+                warnings.warn(
+                    f"parallel execution degraded to serial "
+                    f"({fallback_reason}); re-running only the "
+                    f"{sum(1 for r in records if r.outcome == PENDING)} "
+                    f"unfinished item(s)",
+                    stacklevel=2,
+                )
+        # Serial mode runs everything here; after a parallel phase,
+        # quarantined poison items and anything stranded by a supervision
         # failure get exactly one guarded serial attempt each.
-        missing = [i for i in range(len(items))
-                   if records[i].outcome == PENDING]
-        self._run_serial(work_fn, items, records, results, missing,
-                         serial_fallback=True)
-        report = ExecutionReport(
-            mode=mode, workers=self.workers, tasks=records, results=results,
-            fallback_reason=fallback_reason, pool_restarts=pool_restarts,
-            refunds=refunds, wall_time_s=time.perf_counter() - t_run,
+        self._run_serial(
+            work_fn, items, records, results,
+            [i for i in range(self._prefix(records))
+             if records[i].outcome == PENDING],
+            deadline, min_episodes, serial_fallback=mode != "serial",
         )
-        self.last_report = report
-        return report
+        k = self._prefix(records)
+        return ExecutionReport(
+            mode=mode, workers=self.workers, tasks=records[:k],
+            results=results[:k], fallback_reason=fallback_reason,
+            pool_restarts=pool_restarts, refunds=refunds,
+            wall_time_s=time.perf_counter() - t_run,
+        )
+
+    @staticmethod
+    def _prefix(records) -> int:
+        """Length of the prefix before the first skipped index."""
+        return next((r.index for r in records if r.outcome == SKIPPED),
+                    len(records))
 
     # ------------------------------------------------------------------
     # Serial execution (workers <= 1, quarantine, degraded fallback)
     # ------------------------------------------------------------------
     def _run_serial(self, work_fn, items, records, results, indices,
+                    deadline, min_episodes,
                     serial_fallback: bool = False) -> None:
         for i in indices:
             record = records[i]
+            if record.attempts == 0 and i >= min_episodes \
+                    and _past(deadline):
+                record.outcome = SKIPPED
+                return
             record.attempts += 1
             record.serial_fallback = serial_fallback
             t0 = time.perf_counter()
@@ -356,7 +333,6 @@ class EpisodeExecutor:
             except Exception as exc:
                 record.errors += (f"{type(exc).__name__}: {exc}",)
                 record.outcome = ERROR
-                self._last_errors[i] = exc
                 continue
             took = time.perf_counter() - t0
             problem = (self.validate_fn(value, i)
@@ -364,9 +340,6 @@ class EpisodeExecutor:
             if problem is not None:
                 record.errors += (f"invalid result: {problem}",)
                 record.outcome = ERROR
-                self._last_errors[i] = ExecutorError(
-                    f"index {i}: invalid result: {problem}"
-                )
                 continue
             results[i] = value
             record.wall_time_s = took
@@ -375,41 +348,20 @@ class EpisodeExecutor:
     # ------------------------------------------------------------------
     # Supervised parallel execution
     # ------------------------------------------------------------------
-    def retry_delay_s(self, attempt: int, index: int) -> float:
-        """Deterministic jittered exponential backoff before retry N.
-
-        ``attempt`` is the number of attempts already taken (>= 1).
-        Seeded from ``(backoff_seed, attempt, index)`` so the whole
-        schedule is reproducible, while distinct indices (and distinct
-        attempts of one index) land at different offsets — no
-        thundering-herd retry after a correlated failure.
-        """
-        if self.retry_backoff_s <= 0:
-            return 0.0
-        u = np.random.default_rng(
-            (self.backoff_seed, 6271, attempt, index)
-        ).random()
-        return self.retry_backoff_s * (2.0 ** (attempt - 1)) * (0.5 + u)
-
     def _record_failure(self, record: TaskRecord, reason: str,
-                        todo, quarantine: list[int],
-                        delayed: list | None = None) -> None:
+                        todo) -> None:
+        """Charge a failed attempt: retry now, or quarantine the index
+        (it stays :data:`PENDING` for its guarded serial run)."""
         record.errors += (reason,)
         if record.attempts >= self.max_attempts:
             record.quarantined = True
-            quarantine.append(record.index)
-            return
-        delay = self.retry_delay_s(record.attempts, record.index)
-        if delay > 0 and delayed is not None:
-            heapq.heappush(
-                delayed, (time.perf_counter() + delay, record.index)
-            )
         else:
             todo.append(record.index)
 
     def _supervise(self, work_fn, items, records, results,
-                   quarantine: list[int]) -> tuple[int, int]:
-        """Run the pool until every index succeeded or was quarantined.
+                   deadline, min_episodes) -> tuple[int, int]:
+        """Run the pool until every index before the first skipped one
+        succeeded or was quarantined.
 
         Returns ``(pool_rebuilds, refunded_attempts)``.  Raises on
         unrecoverable supervision failures (the caller then degrades to
@@ -421,12 +373,13 @@ class EpisodeExecutor:
         restarts = 0
         refunds = 0
         stall_rebuilds = 0
+        cutoff = n                            # first skipped index
         todo = collections.deque(range(n))
-        delayed: list[tuple[float, int]] = []  # (ready_at, index) heap
         inflight: dict[int, object] = {}      # index -> AsyncResult
         started: dict[int, float] = {}        # index -> start seen at
         current: dict[int, tuple] = {}        # pid -> (index, attempt)
         seen: dict[int, object] = {}          # pid -> Process
+        begun: set[int] = set()               # first attempt has started
         pool = None
         ctrl = None
 
@@ -463,17 +416,19 @@ class EpisodeExecutor:
             try:
                 build_pool()
                 last_progress = time.perf_counter()
-                while todo or inflight or delayed:
-                    # Promote retries whose backoff has elapsed.
-                    now_promote = time.perf_counter()
-                    while delayed and delayed[0][0] <= now_promote:
-                        todo.append(heapq.heappop(delayed)[1])
+                while todo or inflight:
                     while todo:
                         i = todo.popleft()
+                        if i >= cutoff:
+                            continue
                         attempt = records[i].attempts
                         records[i].attempts += 1
+                        skip_after = (
+                            deadline if i >= min_episodes
+                            and i not in begun else None
+                        )
                         inflight[i] = pool.apply_async(
-                            _run_index, (i, attempt)
+                            _run_index, (i, attempt, skip_after)
                         )
                     # Control messages: who is running what, where.
                     try:
@@ -482,11 +437,13 @@ class EpisodeExecutor:
                             if kind == "start":
                                 current[pid] = (i, attempt)
                                 started[i] = time.perf_counter()
+                                begun.add(i)
                             elif current.get(pid, (None,))[0] == i:
                                 current.pop(pid, None)
                     except (OSError, EOFError):  # pragma: no cover
                         pass
-                    # Completions (success, exception, corrupt result).
+                    # Completions (success, skip, exception, corrupt
+                    # result).
                     progressed = False
                     for i in [i for i, h in inflight.items() if h.ready()]:
                         handle = inflight.pop(i)
@@ -496,20 +453,26 @@ class EpisodeExecutor:
                                 current.pop(pid)
                         progressed = True
                         try:
-                            _i, _a, value, took = handle.get()
+                            outcome = handle.get()
                         except Exception as exc:
+                            begun.add(i)
                             self._record_failure(
                                 records[i],
-                                f"{type(exc).__name__}: {exc}",
-                                todo, quarantine, delayed,
+                                f"{type(exc).__name__}: {exc}", todo,
                             )
                             continue
+                        if outcome is None:
+                            records[i].outcome = SKIPPED
+                            cutoff = min(cutoff, i)
+                            continue
+                        begun.add(i)
+                        _i, _a, value, took = outcome
                         problem = (self.validate_fn(value, i)
                                    if self.validate_fn is not None else None)
                         if problem is not None:
                             self._record_failure(
                                 records[i], f"invalid result: {problem}",
-                                todo, quarantine, delayed,
+                                todo,
                             )
                             continue
                         results[i] = value
@@ -517,18 +480,14 @@ class EpisodeExecutor:
                         records[i].outcome = (
                             OK if records[i].attempts == 1 else RECOVERED
                         )
+                    # Work past the first skipped index is never reported:
+                    # stop watching it (the pool teardown ends it).
+                    for j in [j for j in inflight if j >= cutoff]:
+                        inflight.pop(j)
+                        started.pop(j, None)
                     if progressed:
                         last_progress = time.perf_counter()
                     if not todo and not inflight:
-                        if delayed:
-                            # Everything pending is a scheduled retry:
-                            # sleep up to its due time, not a stall.
-                            time.sleep(min(
-                                self.poll_interval_s,
-                                max(0.0, delayed[0][0] - time.perf_counter()),
-                            ))
-                            last_progress = time.perf_counter()
-                            continue
                         break
                     # Crashed workers: a pid we attributed a task to has
                     # exited (sentinel/exitcode) without delivering it.
@@ -550,7 +509,7 @@ class EpisodeExecutor:
                                 records[i],
                                 f"worker pid {pid} crashed "
                                 f"(exit {code}) while running index {i}",
-                                todo, quarantine, delayed,
+                                todo,
                             )
                             last_progress = time.perf_counter()
                     # Hung workers: past the per-task deadline.  The hung
@@ -568,7 +527,7 @@ class EpisodeExecutor:
                                     records[i],
                                     f"task exceeded its "
                                     f"{self.task_timeout_s:g}s deadline",
-                                    todo, quarantine, delayed,
+                                    todo,
                                 )
                             rebuild_pool(refund_inflight=True)
                             last_progress = time.perf_counter()

@@ -11,6 +11,7 @@ from repro.data.synthetic import generate_dataset
 from repro.data.vocab import CharVocabulary, Vocabulary
 from repro.meta import FewNER, MAML, MethodConfig
 from repro.models import BackboneConfig
+from repro.nn.module import override_params
 
 N_WAY = 3
 
@@ -81,6 +82,27 @@ class TestUpdateOrders:
         assert moved > 0
         predictions = adapter.predict_episode(episode)
         assert len(predictions) == len(episode.query)
+
+
+    def test_maml_second_order_inner_adapt_outside_fit(self, env):
+        """A lone second-order MAML inner loop scopes itself off both
+        first-order fused kernels, as ``fit`` does: same fast weights,
+        and the query loss still reaches θ through them."""
+        from repro.perf import DEFAULT_FASTPATH_STATE, fastpath, fastpath_state
+
+        wv, cv, _sampler, episode = env
+        adapter = MAML(wv, cv, N_WAY, make_config(second_order=True))
+        fast = adapter._inner_adapt(episode, 1, create_graph=True)
+        assert fastpath_state() == DEFAULT_FASTPATH_STATE
+        with fastpath(False):
+            reference = adapter._inner_adapt(episode, 1, create_graph=True)
+        assert all((fast[n].data == reference[n].data).all() for n in fast)
+        with fastpath(False):
+            batch = adapter.model.encode(list(episode.query), episode.scheme)
+            with override_params(adapter.model, fast):
+                adapter.model.loss(batch).backward()
+        assert any(p.grad is not None and np.abs(p.grad.data).sum() > 0
+                   for p in adapter.model.parameters())
 
 
 class TestInnerLossChoice:

@@ -1,6 +1,7 @@
 """Tests for the episode-parallel executor and parallel evaluation."""
 
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -15,26 +16,28 @@ from repro.perf import EpisodeExecutor
 class TestEpisodeExecutor:
     def test_serial_map_ordered(self):
         ex = EpisodeExecutor(workers=0)
-        assert ex.map(lambda item, i: item * 10 + i, [1, 2, 3]) == [10, 21, 32]
+        assert ex.run(lambda item, i: item * 10 + i, [1, 2, 3]).results \
+            == [10, 21, 32]
 
     def test_parallel_map_ordered(self):
         ex = EpisodeExecutor(workers=4)
         items = list(range(20))
-        assert ex.map(lambda item, i: item * item, items) == \
+        assert ex.run(lambda item, i: item * item, items).results == \
             [i * i for i in items]
 
     def test_empty_items(self):
-        assert EpisodeExecutor(workers=4).map(lambda item, i: item, []) == []
+        assert EpisodeExecutor(workers=4).run(
+            lambda item, i: item, []).results == []
 
     def test_workers_one_is_serial(self):
         ex = EpisodeExecutor(workers=1)
         assert not ex.parallel_available
-        assert ex.map(lambda item, i: i, ["a", "b"]) == [0, 1]
+        assert ex.run(lambda item, i: i, ["a", "b"]).results == [0, 1]
 
     def test_unknown_start_method_falls_back(self):
         ex = EpisodeExecutor(workers=4, start_method="not-a-method")
         assert not ex.parallel_available
-        assert ex.map(lambda item, i: item + i, [5, 6]) == [5, 7]
+        assert ex.run(lambda item, i: item + i, [5, 6]).results == [5, 7]
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
@@ -48,7 +51,7 @@ class TestEpisodeExecutor:
             return state["offset"] + item
 
         ex = EpisodeExecutor(workers=2)
-        assert ex.map(work, [1, 2, 3]) == [8, 9, 10]
+        assert ex.run(work, [1, 2, 3]).results == [8, 9, 10]
 
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
         ex = EpisodeExecutor(workers=2)
@@ -58,7 +61,8 @@ class TestEpisodeExecutor:
 
         monkeypatch.setattr(multiprocessing, "get_context", boom)
         with pytest.warns(UserWarning, match="degraded to serial"):
-            assert ex.map(lambda item, i: item * 2, [1, 2]) == [2, 4]
+            assert ex.run(lambda item, i: item * 2, [1, 2]).results \
+                == [2, 4]
 
     def test_daemon_process_degrades_gracefully(self, monkeypatch):
         class FakeDaemon:
@@ -69,7 +73,7 @@ class TestEpisodeExecutor:
         )
         ex = EpisodeExecutor(workers=4)
         assert not ex.parallel_available
-        assert ex.map(lambda item, i: item, [3]) == [3]
+        assert ex.run(lambda item, i: item, [3]).results == [3]
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +89,21 @@ def _adapter(fixture, method="FewNER"):
     word_vocab, char_vocab, _episodes = fixture
     config = MethodConfig(seed=3, pretrain_iterations=0)
     return build_method(method, word_vocab, char_vocab, 3, config)
+
+
+class _Oracle:
+    """Gold spans on even-length query sentences, none on the rest —
+    varied per-episode scores at no model cost."""
+
+    name = "Oracle"
+
+    def __init__(self, delay_s=0.0):
+        self.delay_s = delay_s
+
+    def predict_episode(self, episode):
+        time.sleep(self.delay_s)
+        return [[s.as_tuple() for s in q.spans] if len(q.tokens) % 2 == 0
+                else [] for q in episode.query]
 
 
 class TestParallelEvaluationParity:
@@ -137,6 +156,59 @@ class TestParallelEvaluationParity:
         assert result.truncated
         assert len(result.episode_scores) >= 2
         assert len(result.episode_scores) < len(episodes)
+
+    def test_budget_truncates_by_the_same_rule_for_any_worker_count(
+            self, fixture):
+        """A deadline that has already passed keeps exactly
+        ``min_episodes``: the first three scores of the full run."""
+        episodes = fixture[2] * 4
+        full = evaluate_method(_Oracle(), episodes, workers=1)
+        assert len(set(full.episode_scores[:3])) > 1
+        for workers in (1, 2):
+            result = evaluate_method(_Oracle(), episodes, workers=workers,
+                                     budget_seconds=0.0, min_episodes=3)
+            assert result.truncated
+            assert result.episode_scores == full.episode_scores[:3]
+            assert [t.index for t in result.execution.tasks] == [0, 1, 2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_budget_scores_a_prefix(self, fixture, workers):
+        episodes = (fixture[2] * 10)[:30]
+        full = evaluate_method(_Oracle(), episodes, workers=1)
+        result = evaluate_method(_Oracle(delay_s=0.05), episodes,
+                                 workers=workers, budget_seconds=0.3,
+                                 min_episodes=2)
+        k = len(result.episode_scores)
+        assert result.truncated
+        assert 2 <= k < len(episodes)
+        assert result.episode_scores == full.episode_scores[:k]
+
+    def test_one_pool_per_evaluation(self, fixture, monkeypatch):
+        """16 episodes at workers=2 fork one pool, not one per pair."""
+        if not EpisodeExecutor(workers=2).parallel_available:
+            pytest.skip("fork start method unavailable on this platform")
+        pools = []
+        get_context = multiprocessing.get_context
+
+        class CountingContext:
+            def __init__(self, context):
+                self.context = context
+
+            def __getattr__(self, name):
+                return getattr(self.context, name)
+
+            def Pool(self, *args, **kwargs):
+                pools.append(kwargs.get("processes"))
+                return self.context.Pool(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None:
+                            CountingContext(get_context(method)))
+        episodes = (fixture[2] * 6)[:16]
+        result = evaluate_method(_Oracle(), episodes, workers=2)
+        assert len(result.episode_scores) == 16
+        assert result.execution.mode == "parallel"
+        assert pools == [2]
 
     def test_fast_flag_smoke(self, fixture):
         episodes = fixture[2][:1]

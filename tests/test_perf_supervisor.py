@@ -1,6 +1,8 @@
 """Supervised executor: deadlines, retries, quarantine, chaos parity."""
 
+import math
 import threading
+import time
 import warnings
 
 import pytest
@@ -17,6 +19,12 @@ def _work(item, index):
 
 def _expected(items):
     return [_work(item, i) for i, item in enumerate(items)]
+
+
+def _reject_non_finite(value, index):
+    if not isinstance(value, float) or not math.isfinite(value):
+        return f"non-finite {value!r}"
+    return None
 
 
 def _require_fork(executor):
@@ -81,49 +89,23 @@ class TestHangRecovery:
             [(t.index, t.attempts) for t in innocents]
 
 
-class TestRetryBackoff:
-    """Jittered exponential retry delays, seeded and deterministic."""
+class TestCorruptionAndValidation:
+    def test_corrupt_result_rejected_and_retried(self):
+        injector = FaultInjector(worker_corrupt_at=(0, 4))
+        ex = EpisodeExecutor(workers=2, fault_injector=injector,
+                             validate_fn=_reject_non_finite,
+                             stall_timeout_s=10.0)
+        _require_fork(ex)
+        items = list(range(6))
+        report = ex.run(_work, items)
+        assert report.results == _expected(items)
+        assert set(report.retried_indices) >= {0, 4}
+        assert any("invalid result" in err
+                   for err in report.tasks[0].errors)
 
-    def test_delay_schedule_is_deterministic(self):
-        a = EpisodeExecutor(workers=2, retry_backoff_s=0.1, backoff_seed=7)
-        b = EpisodeExecutor(workers=2, retry_backoff_s=0.1, backoff_seed=7)
-        schedule = [(attempt, index) for attempt in (1, 2, 3)
-                    for index in range(6)]
-        assert [a.retry_delay_s(*s) for s in schedule] \
-            == [b.retry_delay_s(*s) for s in schedule]
-
-    def test_delay_bounds_double_per_attempt(self):
-        ex = EpisodeExecutor(workers=2, retry_backoff_s=0.1, backoff_seed=0)
-        for attempt in (1, 2, 3):
-            lo = 0.1 * (2.0 ** (attempt - 1)) * 0.5
-            hi = 0.1 * (2.0 ** (attempt - 1)) * 1.5
-            for index in range(8):
-                assert lo <= ex.retry_delay_s(attempt, index) < hi
-
-    def test_indices_fan_out_not_lockstep(self):
-        ex = EpisodeExecutor(workers=2, retry_backoff_s=0.1, backoff_seed=0)
-        delays = {ex.retry_delay_s(1, i) for i in range(8)}
-        assert len(delays) == 8  # every index gets its own jitter
-
-    def test_different_seeds_differ(self):
-        a = EpisodeExecutor(workers=2, retry_backoff_s=0.1, backoff_seed=0)
-        b = EpisodeExecutor(workers=2, retry_backoff_s=0.1, backoff_seed=1)
-        assert a.retry_delay_s(1, 0) != b.retry_delay_s(1, 0)
-
-    def test_zero_backoff_keeps_immediate_retries(self):
-        ex = EpisodeExecutor(workers=2)  # historical default
-        assert ex.retry_backoff_s == 0.0
-        assert ex.retry_delay_s(1, 0) == 0.0
-        assert ex.retry_delay_s(5, 3) == 0.0
-
-    def test_negative_backoff_rejected(self):
-        with pytest.raises(ValueError, match="retry_backoff_s"):
-            EpisodeExecutor(workers=2, retry_backoff_s=-0.5)
-
-    def test_delayed_retries_still_recover(self):
+    def test_raised_attempts_retry_immediately(self):
         injector = FaultInjector(worker_raise_at=(1, 4))
         ex = EpisodeExecutor(workers=2, fault_injector=injector,
-                             retry_backoff_s=0.02, backoff_seed=3,
                              stall_timeout_s=10.0)
         _require_fork(ex)
         items = list(range(6))
@@ -133,28 +115,6 @@ class TestRetryBackoff:
         for i in (1, 4):
             assert report.tasks[i].outcome == "recovered"
             assert report.tasks[i].attempts == 2
-
-
-class TestCorruptionAndValidation:
-    def test_corrupt_result_rejected_and_retried(self):
-        def reject_non_finite(value, index):
-            import math
-
-            if not isinstance(value, float) or not math.isfinite(value):
-                return f"non-finite {value!r}"
-            return None
-
-        injector = FaultInjector(worker_corrupt_at=(0, 4))
-        ex = EpisodeExecutor(workers=2, fault_injector=injector,
-                             validate_fn=reject_non_finite,
-                             stall_timeout_s=10.0)
-        _require_fork(ex)
-        items = list(range(6))
-        report = ex.run(_work, items)
-        assert report.results == _expected(items)
-        assert set(report.retried_indices) >= {0, 4}
-        assert any("invalid result" in err
-                   for err in report.tasks[0].errors)
 
     def test_injected_raise_retried(self):
         injector = FaultInjector(worker_raise_at=(3,))
@@ -206,15 +166,17 @@ class TestQuarantine:
         assert record.quarantined
         assert "unconditionally broken" in record.errors[-1]
 
-    def test_map_reraises_first_error(self):
+    def test_serial_error_record_keeps_the_exception(self):
         def poisoned(item, index):
             if index == 1:
                 raise ValueError("bad episode 1")
             return item
 
         ex = EpisodeExecutor(workers=0, max_attempts=1)
-        with pytest.raises(ValueError, match="bad episode 1"):
-            ex.map(poisoned, [10, 20, 30])
+        report = ex.run(poisoned, [10, 20, 30])  # must not raise
+        assert report.results == [10, None, 30]
+        assert report.failed_indices == (1,)
+        assert report.tasks[1].errors == ("ValueError: bad episode 1",)
 
 
 class TestDegradedFallback:
@@ -231,7 +193,8 @@ class TestDegradedFallback:
         ex = EpisodeExecutor(workers=2, stall_timeout_s=10.0)
         _require_fork(ex)
 
-        def half_then_die(work_fn, items, records, results, quarantine):
+        def half_then_die(work_fn, items, records, results, deadline,
+                          min_episodes):
             for i in range(len(items) // 2):
                 results[i] = work_fn(items[i], i)
                 records[i].attempts = 1
@@ -259,6 +222,35 @@ class TestDegradedFallback:
         assert json.loads(json.dumps(summary)) == summary
         assert summary["tasks"] == 3
         assert "execution:" in report.render()
+
+
+class TestDeadline:
+    """``run(deadline=...)`` skips only first attempts past the deadline
+    (prefix truncation is covered through ``evaluate_method`` in
+    ``test_perf_executor.py``)."""
+
+    def test_retry_of_a_started_episode_runs_past_the_deadline(self):
+        """Index 1's first attempt starts before the deadline and its
+        corrupt result arrives after it; the retry still runs."""
+        def work(item, index):
+            if index == 1:
+                time.sleep(1.5)
+            return _work(item, index)
+
+        injector = FaultInjector(worker_corrupt_at=(1,))
+        ex = EpisodeExecutor(workers=2, fault_injector=injector,
+                             validate_fn=_reject_non_finite,
+                             stall_timeout_s=10.0)
+        _require_fork(ex)
+        items = list(range(4))
+        deadline = time.monotonic() + 1.0
+        report = ex.run(work, items, deadline=deadline, min_episodes=1)
+        assert time.monotonic() > deadline
+        record = report.tasks[1]
+        assert record.outcome == "recovered"
+        assert record.attempts == 2
+        assert record.wall_time_s >= 1.5  # the retry ran the work again
+        assert report.results == _expected(items)[:len(report.tasks)]
 
 
 class TestPayloadLock:
@@ -343,7 +335,7 @@ class TestAcceptanceSoak:
         injector = FaultInjector(worker_crash_p=0.2, worker_hang_p=0.1,
                                  worker_seed=0, worker_hang_s=5.0)
         faulted = evaluate_method(
-            _HalfOracle(), many_episodes, workers=4, task_timeout_s=5.0,
+            _HalfOracle(), many_episodes, workers=4, task_timeout_s=0.4,
             fault_injector=injector,
         )
         assert faulted.episode_scores == baseline.episode_scores
@@ -353,16 +345,15 @@ class TestAcceptanceSoak:
         assert execution is not None
         assert sorted(t.index for t in execution.tasks) == list(range(200))
         if execution.mode == "parallel":
-            # evaluate_method chunks by worker count, so the injector's
-            # schedule repeats per chunk: local crash plans at 1 and 3
-            # (worker_seed=0) must surface as retries in every chunk.
-            local = [i for i in range(4)
-                     if injector.planned_worker_fault(i) == "crash"]
-            assert local
-            expected_retries = {base + i for base in range(0, 200, 4)
-                                for i in local}
-            assert expected_retries <= set(execution.retried_indices)
-            assert execution.total_attempts >= 200 + len(expected_retries)
+            # One pool runs all 200 episodes, so the injector's plan is
+            # keyed by episode index: every planned crash is retried.
+            crashes = {i for i in range(200)
+                       if injector.planned_worker_fault(i) == "crash"}
+            hangs = {i for i in range(200)
+                     if injector.planned_worker_fault(i) == "hang"}
+            assert (len(crashes), len(hangs)) == (45, 15)
+            assert crashes | hangs <= set(execution.retried_indices)
+            assert execution.total_attempts >= 200 + len(crashes | hangs)
 
 
 class TestRealModelFaultParity:

@@ -8,7 +8,9 @@ from repro.autodiff.tensor import is_grad_enabled, no_grad
 from repro.data.sentence import Sentence
 from repro.data.tags import TagScheme
 from repro.data.vocab import CharVocabulary, Vocabulary
+from repro.embeddings.contextual import SimulatedContextualEmbedder
 from repro.models.backbone import BackboneConfig, CNNBiGRUCRF
+from repro.models.lm_crf import LMTagger
 from repro.obs import profile_tape
 from repro.serving import Deadline, ManualClock, TaggingService
 
@@ -49,35 +51,55 @@ def _recorded_paths(model, phi):
     return model.crf.viterbi_decode_batch(scores.data, batch.mask)
 
 
+@pytest.fixture(scope="module")
+def served(scheme, model, phi):
+    """``(model, decode args, paths from tape-recorded emissions)`` for
+    the backbone and for the LM-CRF baseline."""
+    tagger = LMTagger(SimulatedContextualEmbedder("sim-lm", dim=16, seed=3),
+                      scheme.num_tags, np.random.default_rng(5),
+                      tag_names=scheme.tags)
+    recorded = tagger.emissions(SENTENCES)
+    assert all(e.requires_grad for e in recorded)
+    return [
+        (model, (phi,), _recorded_paths(model, phi)),
+        (tagger, (), [tagger.crf.viterbi_decode(e.data) for e in recorded]),
+    ]
+
+
 class TestNoTape:
-    def test_decode(self, model, phi):
-        with profile_tape() as profile:
-            paths = model.decode(SENTENCES, phi)
-        assert profile.nodes_created == 0
-        assert paths == _recorded_paths(model, phi)
+    def test_decode(self, served):
+        for model, args, recorded in served:
+            with profile_tape() as profile:
+                paths = model.decode(SENTENCES, *args)
+            assert profile.nodes_created == 0, type(model).__name__
+            assert paths == recorded
 
-    def test_decode_within_with_deadline(self, model, phi):
-        deadline = Deadline(1.0, clock=ManualClock())
-        with profile_tape() as profile:
-            paths, statuses = model.decode_within(SENTENCES, phi,
-                                                  deadline=deadline)
-        assert profile.nodes_created == 0
-        assert statuses == ["full"] * len(SENTENCES)
-        assert paths == _recorded_paths(model, phi)
+    def test_decode_within_with_deadline(self, served):
+        for model, args, recorded in served:
+            deadline = Deadline(1.0, clock=ManualClock())
+            with profile_tape() as profile:
+                paths, statuses = model.decode_within(SENTENCES, *args,
+                                                      deadline=deadline)
+            assert profile.nodes_created == 0, type(model).__name__
+            assert statuses == ["full"] * len(SENTENCES)
+            assert paths == recorded
 
-    def test_decode_within_without_deadline(self, model, phi):
-        with profile_tape() as profile:
-            paths, statuses = model.decode_within(SENTENCES, phi)
-        assert profile.nodes_created == 0
-        assert statuses == ["full"] * len(SENTENCES)
-        assert paths == _recorded_paths(model, phi)
+    def test_decode_within_without_deadline(self, served):
+        for model, args, recorded in served:
+            with profile_tape() as profile:
+                paths, statuses = model.decode_within(SENTENCES, *args)
+            assert profile.nodes_created == 0, type(model).__name__
+            assert statuses == ["full"] * len(SENTENCES)
+            assert paths == recorded
 
-    def test_service_tag(self, model, scheme, phi):
-        service = TaggingService(model, scheme, phi=phi)
-        with profile_tape() as profile:
-            result = service.tag(list(SENTENCES[0].tokens))
-        assert profile.nodes_created == 0
-        assert result.ok and not result.degraded
+    def test_service_tag(self, served, scheme):
+        for model, args, _recorded in served:
+            service = TaggingService(model, scheme,
+                                     phi=args[0] if args else None)
+            with profile_tape() as profile:
+                result = service.tag(list(SENTENCES[0].tokens))
+            assert profile.nodes_created == 0, type(model).__name__
+            assert result.ok and not result.degraded
 
 
 class TestGradModeRestored:
