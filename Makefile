@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-tables-smoke examples lint verify-kernels verify-executor verify-reliability verify-serving verify-gateway verify-overload verify-chaos verify-obs verify-store verify-trace
+.PHONY: install test bench bench-smoke bench-tables-smoke examples lint verify-kernels verify-golden verify-executor verify-reliability verify-serving verify-gateway verify-overload verify-chaos verify-obs verify-store verify-trace
 
 install:
 	$(PYTHON) setup.py develop
@@ -11,12 +11,18 @@ test:
 verify-kernels:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_perf_kernels.py \
 	    tests/test_perf_rnn_kernels.py \
+	    tests/test_perf_char_cnn.py \
 	    tests/test_crf*.py \
 	    tests/test_autodiff_*.py \
 	    tests/test_perf_fused_checkpoints.py -q
 	PYTHONPATH=src $(PYTHON) -m repro chaos soak \
 	    --scenario fused-nll-parity --scenario recurrent-kernel-parity \
 	    --max-rounds 1 --seed 0
+
+verify-golden:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_golden_eval.py \
+	    tests/test_golden_serving.py \
+	    tests/test_perf_fused_checkpoints.py -q
 
 verify-executor:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_perf_executor.py \

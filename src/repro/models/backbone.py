@@ -88,6 +88,10 @@ class BackboneConfig:
                 "conditioning must be 'film', 'concat', 'film+bias' or "
                 f"'head', got {self.conditioning!r}"
             )
+        if self.max_chars < 1:
+            raise ValueError(
+                f"max_chars must be at least 1, got {self.max_chars}"
+            )
         if self.char_filters % len(self.char_widths) != 0:
             raise ValueError("char_filters must divide evenly across widths")
         if self.encoder not in ("bigru", "bilstm", "transformer"):

@@ -22,6 +22,8 @@ from repro.autodiff.tensor import (
 )
 from repro.nn import init
 from repro.nn.module import Module, ModuleList, Parameter
+from repro.perf.conv_kernels import char_cnn_fused
+from repro.perf.fastpath import recurrent_kernel_enabled
 
 
 class Conv1d(Module):
@@ -82,6 +84,14 @@ class CharCNN(Module):
 
     Mirrors the paper's configuration: filter widths ``[2, 3, 4]`` with the
     filter budget split evenly (total 150 in the paper; configurable here).
+
+    By default the whole encoder after the embedding lookup runs as one
+    fused tape node (:func:`repro.perf.conv_kernels.char_cnn_fused`,
+    bit-identical in output and gradients).  Under
+    :func:`repro.perf.fastpath.recurrent_kernel` ``(False)`` — the
+    switch second-order work turns off around the fused encoder kernels
+    — it runs on the tape through :class:`Conv1d`, ``relu`` and
+    ``max_``.
     """
 
     def __init__(self, num_chars: int, char_dim: int, filters_total: int,
@@ -107,7 +117,14 @@ class CharCNN(Module):
     def forward(self, char_ids) -> Tensor:
         """Encode ``(num_words, max_chars)`` id matrix to ``(num_words, F)``."""
         char_ids = np.asarray(char_ids, dtype=np.intp)
+        if char_ids.ndim != 2 or char_ids.shape[1] < 1:
+            raise ValueError(
+                "char ids must be a (num_words, max_chars) matrix with "
+                f"max_chars >= 1, got shape {char_ids.shape}"
+            )
         emb = self.char_embedding(char_ids)  # (W, C, d)
+        if recurrent_kernel_enabled():
+            return char_cnn_fused(emb, self.convs)
         pooled = []
         for conv in self.convs:
             feat = relu(conv(emb))  # (W, C, per_width)

@@ -3,11 +3,12 @@
 Two coordinated pieces:
 
 * :mod:`repro.perf.kernels` + :mod:`repro.perf.rnn_kernels` +
-  :mod:`repro.perf.fastpath` — batched CRF Viterbi/greedy decode
-  (bit-identical to the per-sentence recursions), a fused
-  single-tape-node CRF NLL and fused single-tape-node GRU/LSTM scans
-  with hand-derived backwards (both on by default, first-order only,
-  bit-identical in outputs *and* gradients);
+  :mod:`repro.perf.conv_kernels` + :mod:`repro.perf.fastpath` —
+  batched CRF Viterbi/greedy decode (bit-identical to the per-sentence
+  recursions), a fused single-tape-node CRF NLL, and fused
+  single-tape-node GRU/LSTM scans and char-CNN with hand-derived
+  backwards (all on by default, first-order only, bit-identical in
+  outputs *and* gradients);
 * :mod:`repro.perf.executor` — a fork-based, deterministic, *supervised*
   worker pool (per-task deadlines, crash/hang detection, bounded
   retries, poison-episode quarantine, :class:`ExecutionReport`

@@ -14,15 +14,18 @@ to turn it off:
   through it is rejected at backprop time.  Second-order work runs
   under ``fastpath(False)``: each outer iteration of FEWNER and MAML
   with ``second_order``, and the E6 inner-step timing.
-* **Recurrent kernel** (default *on*): GRU/LSTM layers unroll the whole
-  sequence inside one fused numpy scan registered as a *single* tape
-  node with a hand-derived BPTT backward (``repro.perf.rnn_kernels``),
-  instead of emitting ~24 tape ops per timestep.  The fused scan performs
-  the same float operations in the same order as the tape, so outputs
-  *and* parameter gradients are bit-identical — but like the fused NLL
-  the analytic backward is first-order only; second-order
-  differentiation through it is rejected at backprop time, so
-  second-order MAML runs under ``recurrent_kernel(False)``.
+* **Recurrent kernel** (default *on*): the fused encoder kernels.
+  GRU/LSTM layers unroll the whole sequence inside one fused numpy scan
+  registered as a *single* tape node with a hand-derived BPTT backward
+  (``repro.perf.rnn_kernels``), instead of emitting ~24 tape ops per
+  timestep; and ``CharCNN`` runs its convolutions, relu and
+  max-over-characters for every filter width as one node
+  (``repro.perf.conv_kernels``) instead of ~20.  Both perform the same
+  float operations in the same order as the tape, so outputs *and*
+  parameter gradients are bit-identical — but like the fused NLL their
+  backwards are first-order only; second-order differentiation through
+  them is rejected at backprop time, so second-order MAML runs under
+  ``recurrent_kernel(False)``.
 
 Both switches are thread-local; a forked worker process inherits the
 state its parent had at fork time.
@@ -54,7 +57,7 @@ def fused_nll_enabled() -> bool:
 
 
 def recurrent_kernel_enabled() -> bool:
-    """Whether the fused single-node recurrent (GRU/LSTM) kernel is active."""
+    """Whether the fused encoder kernels (GRU/LSTM scans, char-CNN) are active."""
     return _enabled("recurrent_kernel")
 
 
@@ -84,11 +87,12 @@ def fastpath(enabled: bool = True):
 
 
 def recurrent_kernel(enabled: bool = True):
-    """Enable (or disable) the fused recurrent kernel inside the block.
+    """Enable (or disable) the fused encoder kernels inside the block.
 
-    First-order only: differentiating *through* a gradient that crossed
-    the fused scan (``create_graph=True`` and the RNN on the path to a
-    requested input) raises ``RuntimeError``; disable the kernel around
+    Covers the recurrent scans and the char-CNN.  First-order only:
+    differentiating *through* a gradient that crossed a fused node
+    (``create_graph=True`` and the RNN or char-CNN on the path to a
+    requested input) raises ``RuntimeError``; disable the kernels around
     such work instead.
     """
     return _scoped("recurrent_kernel", enabled)

@@ -32,6 +32,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             BackboneConfig(char_filters=7)
 
+    @pytest.mark.parametrize("max_chars", [0, -3])
+    def test_max_chars_must_be_positive(self, max_chars):
+        with pytest.raises(ValueError, match="max_chars must be at least 1"):
+            BackboneConfig(max_chars=max_chars)
+
 
 class TestEncoding:
     def test_batch_shapes(self, tiny_dataset, tiny_vocabs, scheme):

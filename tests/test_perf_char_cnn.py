@@ -1,0 +1,184 @@
+"""Bit identity of the fused char-CNN against its tape route.
+
+``CharCNN.forward`` runs :func:`repro.perf.conv_kernels.char_cnn_fused`
+by default and the per-width tape graph (``Conv1d`` → ``relu`` →
+``max_``) under ``recurrent_kernel(False)``.  Both routes must agree
+with ``==`` on the output and on the gradients of the char-embedding
+weight and of every conv weight and bias.
+"""
+
+import numpy as np
+import pytest
+
+from repro.autodiff.tensor import Tensor, grad, no_grad
+from repro.nn import CharCNN
+from repro.nn.module import override_params
+from repro.perf import recurrent_kernel
+
+NUM_CHARS = 23
+
+
+def make_cnn(seed=0, char_dim=5, filters=9, widths=(2, 3, 4)):
+    return CharCNN(NUM_CHARS, char_dim, filters, np.random.default_rng(seed),
+                   widths=widths)
+
+
+def ragged_ids(rng, words, chars):
+    ids = rng.integers(1, NUM_CHARS, size=(words, chars))
+    lengths = rng.integers(1, chars + 1, size=words)
+    ids[np.arange(chars)[None, :] >= lengths[:, None]] = 0
+    return ids
+
+
+def output_and_grads(cnn, ids_list, cotangent_seed=7):
+    """Forward every id matrix, then one backward of a weighted sum."""
+    rng = np.random.default_rng(cotangent_seed)
+    params = cnn.parameters()
+    outs = [cnn(ids) for ids in ids_list]
+    loss = None
+    for out in outs:
+        term = (out * Tensor(rng.normal(size=out.shape))).sum()
+        loss = term if loss is None else loss + term
+    grads = grad(loss, params)
+    return [out.data for out in outs], [g.data for g in grads]
+
+
+def assert_routes_identical(cnn, ids_list):
+    fused = output_and_grads(cnn, ids_list)
+    with recurrent_kernel(False):
+        tape = output_and_grads(cnn, ids_list)
+    for a, b in zip(fused[0], tape[0]):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+    # Char-embedding weight, then (weight, bias) per width.
+    assert len(fused[1]) == 1 + 2 * len(cnn.widths)
+    for a, b in zip(fused[1], tape[1]):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+    return fused
+
+
+def quantise(cnn, step=0.25):
+    for p in cnn.parameters():
+        p.data = np.round(p.data / step) * step
+
+
+class TestParity:
+    def test_ragged_words(self):
+        rng = np.random.default_rng(1)
+        assert_routes_identical(make_cnn(), [ragged_ids(rng, 9, 7)])
+
+    def test_all_padding_rows(self):
+        rng = np.random.default_rng(2)
+        ids = ragged_ids(rng, 6, 8)
+        ids[[1, 4]] = 0
+        assert_routes_identical(make_cnn(), [ids])
+
+    def test_tied_maxima_from_quantised_weights(self):
+        cnn = make_cnn(seed=3, char_dim=3, filters=6)
+        quantise(cnn)
+        rng = np.random.default_rng(3)
+        ids = rng.integers(1, 4, size=(8, 9))  # few chars: repeated windows
+        _outs, _grads = assert_routes_identical(cnn, [ids])
+        feat = cnn.convs[0](cnn.char_embedding(ids)).data
+        feat = np.maximum(feat, 0.0)
+        ties = (feat == feat.max(axis=1, keepdims=True)).sum(axis=1)
+        assert (ties > 1).any()
+
+    def test_single_word(self):
+        rng = np.random.default_rng(4)
+        assert_routes_identical(make_cnn(), [ragged_ids(rng, 1, 6)])
+
+    def test_zero_words(self):
+        _outs, grads = assert_routes_identical(
+            make_cnn(), [np.zeros((0, 5), dtype=np.intp)]
+        )
+        assert all(not g.any() for g in grads)
+
+    def test_one_char_narrower_than_widest_filter(self):
+        rng = np.random.default_rng(5)
+        assert_routes_identical(
+            make_cnn(), [rng.integers(0, NUM_CHARS, size=(5, 1))]
+        )
+
+    def test_odd_widths_and_one_width(self):
+        rng = np.random.default_rng(6)
+        ids = ragged_ids(rng, 5, 6)
+        assert_routes_identical(make_cnn(widths=(1, 3, 5), filters=6), [ids])
+        assert_routes_identical(make_cnn(widths=(3,), filters=4), [ids])
+
+    def test_several_calls_in_one_backward(self):
+        rng = np.random.default_rng(7)
+        assert_routes_identical(
+            make_cnn(), [ragged_ids(rng, 4, 6), ragged_ids(rng, 7, 6)]
+        )
+
+    def test_fast_weights_under_override_params(self):
+        cnn = make_cnn(seed=8)
+        ids = ragged_ids(np.random.default_rng(8), 6, 7)
+
+        def run():
+            shift = np.random.default_rng(9)
+            params = cnn.parameters()
+            fast = {
+                name: p * Tensor(np.array(0.9))
+                + Tensor(shift.normal(size=p.shape) * 0.01)
+                for name, p in cnn.named_parameters()
+            }
+            with override_params(cnn, fast):
+                out = cnn(ids)
+            # The backward runs after the override exited.
+            loss = (out * out).sum()
+            return out.data, [g.data for g in grad(loss, params)]
+
+        fused = run()
+        with recurrent_kernel(False):
+            tape = run()
+        assert np.array_equal(fused[0], tape[0])
+        for a, b in zip(fused[1], tape[1]):
+            assert np.array_equal(a, b)
+
+
+class TestFusedNode:
+    def test_one_tape_node_after_the_embedding(self):
+        cnn = make_cnn()
+        out = cnn(ragged_ids(np.random.default_rng(10), 4, 6))
+        emb_and_params = out._node.parents
+        assert emb_and_params[0]._node.parents == (cnn.char_embedding.weight,)
+        expected = [t for conv in cnn.convs for t in (conv.weight, conv.bias)]
+        assert list(emb_and_params[1:]) == expected
+
+    def test_no_grad_records_nothing(self):
+        cnn = make_cnn()
+        ids = ragged_ids(np.random.default_rng(11), 4, 6)
+        with no_grad():
+            out = cnn(ids)
+        assert out._node is None and not out.requires_grad
+        assert np.array_equal(out.data, cnn(ids).data)
+
+    def test_create_graph_raises_naming_the_switch(self):
+        cnn = make_cnn()
+        out = cnn(ragged_ids(np.random.default_rng(12), 4, 6))
+        with pytest.raises(RuntimeError, match=r"recurrent_kernel\(False\)"):
+            grad((out * out).sum(), cnn.parameters(), create_graph=True)
+
+    def test_create_graph_works_on_the_tape_route(self):
+        cnn = make_cnn()
+        with recurrent_kernel(False):
+            out = cnn(ragged_ids(np.random.default_rng(13), 4, 6))
+            grads = grad((out * out).sum(), cnn.parameters(),
+                         create_graph=True)
+        assert all(g._node is not None for g in grads)
+
+
+class TestInputShape:
+    @pytest.mark.parametrize("ids", [
+        np.array([1, 2, 3]),
+        np.zeros((2, 3, 4), dtype=np.intp),
+        np.zeros((3, 0), dtype=np.intp),
+    ], ids=["1-D", "3-D", "no-chars"])
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "tape"])
+    def test_bad_shape_raises_one_value_error(self, ids, fused):
+        with recurrent_kernel(fused):
+            with pytest.raises(ValueError, match="char ids must be"):
+                make_cnn()(ids)

@@ -1,8 +1,10 @@
-"""End-to-end bit identity of the fused CRF NLL.
+"""End-to-end bit identity of the fused kernels.
 
 A short ``fit`` must write the same checkpoint with the fused kernel on
 (the default) and off, for every registry method and for the
 second-order variants that run their outer iterations on the graph NLL.
+The same holds for the fused encoder kernels (char-CNN and recurrent
+scans) against the tape they replace under ``recurrent_kernel(False)``.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from repro.data.synthetic import generate_dataset
 from repro.data.vocab import CharVocabulary, Vocabulary
 from repro.meta import MethodConfig, build_method
 from repro.models import BackboneConfig
-from repro.perf import fastpath
+from repro.perf import fastpath, recurrent_kernel
 
 N_WAY = 3
 RUNS = [
@@ -70,3 +72,18 @@ def test_fit_checkpoint_identical_with_fastpath_on_and_off(corpus, name,
     assert fused[0] == graph[0]
     assert fused[1] == graph[1]
     assert all(np.isfinite(float.fromhex(loss)) for loss in fused[0])
+
+
+@pytest.mark.parametrize(
+    "name,overrides", RUNS,
+    ids=[f"{name}-{'-'.join(f'{k}={v}' for k, v in sorted(o.items()))}"
+         for name, o in RUNS],
+)
+def test_fit_checkpoint_identical_with_fused_encoder_on_and_off(
+        corpus, name, overrides):
+    """The fused char-CNN and recurrent kernels against the tape."""
+    fused = checkpoint_after_fit(corpus, name, overrides)
+    with recurrent_kernel(False):
+        tape = checkpoint_after_fit(corpus, name, overrides)
+    assert fused[0] == tape[0]
+    assert fused[1] == tape[1]

@@ -1,7 +1,9 @@
 """Guards against drift between code, docs, and packaging."""
 
+import json
 import pathlib
 import py_compile
+import re
 
 import pytest
 
@@ -65,6 +67,51 @@ class TestDocsMatchCode:
 
         pyproject = (ROOT / "pyproject.toml").read_text()
         assert f'version = "{repro.__version__}"' in pyproject
+
+
+class TestCommittedEvidence:
+    """Speed tables quote only numbers a committed result document holds.
+
+    A table's section names its evidence directory, which holds one
+    ``repobench`` result document per run under ``parent/`` and
+    ``change/``.
+    """
+
+    def _section(self, heading):
+        doc = (ROOT / "docs" / "performance.md").read_text()
+        return doc.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+    def _values(self, evidence, side, workload, metric):
+        values = []
+        for path in sorted((evidence / side).glob(f"{workload}-*.json")):
+            document = json.loads(path.read_text())
+            if metric in document["metrics"]:
+                values.append(document["metrics"][metric]["value"])
+        return values
+
+    def test_fused_char_cnn_table_numbers_are_committed(self):
+        section = self._section("Fused char-CNN")
+        evidence = ROOT / re.search(r"`(docs/evidence/[\w-]+)/`",
+                                    section).group(1)
+        rows = [
+            [cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")
+        ]
+        checked = 0
+        for workload, metric, before, after in rows:
+            workload = re.match(r"`(\w+)`", workload).group(1)
+            metric = re.match(r"`([\w.]+)`", metric).group(1)
+            for side, cell in (("parent", before), ("change", after)):
+                values = self._values(evidence, side, workload, metric)
+                assert values, (side, workload, metric)
+                for number in re.findall(r"\d+(?:\.\d+)?", cell):
+                    digits = len(number.partition(".")[2])
+                    assert number in {f"{v:.{digits}f}" for v in values}, (
+                        f"{workload} {metric} {side}: {number} is in no "
+                        f"committed result document"
+                    )
+                    checked += 1
+        assert checked >= 20
 
 
 class TestPackagingHygiene:
