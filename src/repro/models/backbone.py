@@ -27,6 +27,7 @@ from repro.data.sentence import Sentence
 from repro.data.tags import TagScheme
 from repro.data.vocab import CharVocabulary, Vocabulary
 from repro.models.batch import Batch, encode_batch
+from repro.models.decoding import reject_empty
 from repro.nn import (
     BiGRU,
     BiLSTM,
@@ -321,10 +322,13 @@ class CNNBiGRUCRF(Module):
         """Viterbi tag sequences for raw sentences (``[]`` for ``[]``).
 
         Uses the batch-vectorised Viterbi kernel, bit-identical to the
-        per-sentence recursion.
+        per-sentence recursion.  A sentence with no tokens raises
+        ``ValueError`` before anything is encoded (see
+        :func:`repro.models.decoding.reject_empty`).
         """
         if not sentences:
             return []
+        reject_empty(sentences)
         batch, scores = self._inference_scores(sentences, phi)
         return self.crf.viterbi_decode_batch(scores, batch.mask)
 
@@ -351,6 +355,7 @@ class CNNBiGRUCRF(Module):
 
         if not sentences:
             return [], []
+        reject_empty(sentences)
         batch, scores = self._inference_scores(sentences, phi)
         emissions = [scores[i, :n] for i, n in enumerate(batch.lengths)]
         return decode_emissions_within(

@@ -43,6 +43,18 @@ DEGRADED_STATUSES = frozenset(
 FAILURE_STATUSES = frozenset({OVERRUN, DEGRADED_ERROR})
 
 
+def reject_empty(sentences) -> None:
+    """Raise ``ValueError`` naming the first sentence with no tokens.
+
+    The models' decode routes call this before encoding anything, so an
+    empty sentence fails the same way whatever else is in the batch, and
+    with the reason the serving sanitizer gives.
+    """
+    for index, sentence in enumerate(sentences):
+        if not sentence.tokens:
+            raise ValueError(f"sentence {index}: empty token sequence")
+
+
 def decode_emissions_within(
     crf: LinearChainCRF,
     emissions,

@@ -15,6 +15,7 @@ from repro.crf import LinearChainCRF, bio_start_mask, bio_transition_mask
 from repro.data.sentence import Sentence
 from repro.data.tags import TagScheme
 from repro.embeddings.contextual import SimulatedContextualEmbedder
+from repro.models.decoding import reject_empty
 from repro.nn import Linear
 from repro.nn.module import Module
 
@@ -76,6 +77,7 @@ class LMTagger(Module):
 
         if not sentences:
             return []
+        reject_empty(sentences)
         paths, _statuses = decode_emissions_within(
             self.crf, self._inference_emissions(sentences)
         )
@@ -98,6 +100,7 @@ class LMTagger(Module):
 
         if not sentences:
             return [], []
+        reject_empty(sentences)
         return decode_emissions_within(
             self.crf, self._inference_emissions(sentences), deadline=deadline,
             on_sentence=on_sentence, allow_viterbi=allow_viterbi,

@@ -3,12 +3,13 @@
 The BiGRU is the context encoder of the paper's CNN-BiGRU-CRF backbone
 (depth 1, hidden size 128 in the paper; sizes are configurable).
 
-Hot-path layout: by default the whole scan runs as **one** fused tape
-node with a hand-derived BPTT backward
+Hot-path layout: by default a layer's whole scan runs as **one** fused
+tape node with a hand-derived BPTT backward; a bidirectional layer runs
+both directions in one stacked loop and one node
 (:mod:`repro.perf.rnn_kernels`, bit-identical to the tape path in both
 outputs and gradients; toggled by
-:func:`repro.perf.fastpath.recurrent_kernel`).  The legacy per-timestep
-tape path is kept as the parity reference and for second-order work: the
+:func:`repro.perf.fastpath.recurrent_kernel`).  The per-timestep tape
+path is kept as the parity reference and for second-order work: the
 input-to-gates projection of a whole sequence is one
 ``(B, L, I) @ (I, G·H)`` matmul hoisted out of the step loop (the cells
 expose :meth:`GRUCell.step` / :meth:`LSTMCell.step` that consume the

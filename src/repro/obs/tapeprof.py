@@ -23,10 +23,10 @@ import weakref
 # shadows the submodule attribute, so resolve the module explicitly.
 _tensor = importlib.import_module("repro.autodiff.tensor")
 
-#: Op names under which the fused recurrent scans register their single
-#: tape node (``_make`` is called directly from these functions, so the
-#: caller-frame op key is the kernel name itself).
-_RNN_KERNEL_OPS = ("gru_forward_batch", "lstm_forward_batch")
+#: Op names under which the fused recurrent kernels register their one
+#: tape node per layer (``_make`` is called directly from the stacked
+#: scan, so the caller-frame op key is that function's name).
+_RNN_KERNEL_OPS = ("_stacked_scan",)
 
 
 class TapeProfile:
@@ -74,9 +74,10 @@ class TapeProfile:
     def rnn_nodes(self) -> int:
         """Tape nodes created by the fused recurrent kernels.
 
-        One per GRU/LSTM scan (two per bidirectional layer forward) —
-        the queryable form of the one-node-per-sequence invariant, the
-        fused analogue of the legacy ≤ 24 nodes/step budget.
+        One per GRU/LSTM layer forward (a bidirectional layer runs both
+        directions in one stacked scan) — the queryable form of the
+        one-node-per-layer invariant, the fused analogue of the legacy
+        ≤ 24 nodes/step budget.
         """
         return sum(self.op_counts.get(op, 0) for op in _RNN_KERNEL_OPS)
 

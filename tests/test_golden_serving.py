@@ -10,7 +10,8 @@ canonical JSON and hashed; the hashes in
 are pinned separately because they do not all agree: the service and
 the gateway reject the empty and the over-length request, while
 ``predict_spans`` tags the over-length one and raises ``ValueError``
-on the empty one.
+("sentence 0: empty token sequence", the service's reason) on the
+empty one.
 
 A change that means to move an answer regenerates the file with::
 
@@ -89,8 +90,8 @@ def _predict_spans(model, scheme, requests):
         try:
             spans = model.predict_spans([Sentence(tuple(tokens))], scheme)[0]
         except ValueError as exc:
-            # The empty sentence fails inside the encoder on this route
-            # (the service rejects it up front); pinned as it stands.
+            # The model rejects the empty sentence before encoding, with
+            # the service's reason; only the exception type is pinned.
             answers.append(["error", type(exc).__name__])
             continue
         answers.append(["ok", [list(span) for span in spans]])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, grad, no_grad
+from repro.data.sentence import Sentence
 from repro.data.tags import TagScheme
 from repro.models import BackboneConfig, CNNBiGRUCRF, encode_batch
 
@@ -211,3 +212,38 @@ class TestDecode:
         model.train()
         model.decode(tiny_dataset.sentences[:1])
         assert model.training
+
+
+class TestEmptySentence:
+    """Every decode route rejects an empty sentence before encoding, with
+    the index and the serving sanitizer's reason."""
+
+    ROUTES = {
+        "decode": lambda model, sents, scheme: model.decode(sents),
+        "decode_within": lambda model, sents, scheme:
+            model.decode_within(sents),
+        "predict_spans": lambda model, sents, scheme:
+            model.predict_spans(sents, scheme),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_lone_empty_sentence(self, tiny_vocabs, scheme, route):
+        model = build_model(tiny_vocabs, scheme)
+        with pytest.raises(ValueError,
+                           match=r"^sentence 0: empty token sequence$"):
+            self.ROUTES[route](model, [Sentence(())], scheme)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_empty_among_others_fails_before_encoding(
+            self, tiny_dataset, tiny_vocabs, scheme, route, monkeypatch):
+        model = build_model(tiny_vocabs, scheme)
+        sents = [tiny_dataset.sentences[0], Sentence(()),
+                 tiny_dataset.sentences[1]]
+
+        def encoder_must_not_run(*args, **kwargs):
+            raise AssertionError("encoded a batch holding an empty sentence")
+
+        monkeypatch.setattr(model, "encode", encoder_must_not_run)
+        with pytest.raises(ValueError,
+                           match=r"^sentence 1: empty token sequence$"):
+            self.ROUTES[route](model, sents, scheme)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data.sentence import Sentence
 from repro.data.tags import TagScheme
 from repro.embeddings import make_embedder
 from repro.models import LMTagger
@@ -56,3 +57,11 @@ class TestLMTagger:
         loss = tagger.loss(tiny_dataset.sentences[:2], scheme)
         loss.backward()
         assert all(p.grad is not None for p in tagger.parameters())
+
+
+@pytest.mark.parametrize("route", ["decode", "decode_within"])
+def test_empty_sentence_rejected_with_its_index(tagger, tiny_dataset, route):
+    sents = [tiny_dataset.sentences[0], Sentence(())]
+    with pytest.raises(ValueError,
+                       match=r"^sentence 1: empty token sequence$"):
+        getattr(tagger, route)(sents)

@@ -39,8 +39,11 @@ def corpus():
             CharVocabulary.from_datasets([dataset]))
 
 
-def checkpoint_after_fit(corpus, name, overrides):
-    """Losses and the checkpoint payload (``state_dict``) as bytes."""
+def checkpoint_after_fit(corpus, name, overrides, **backbone):
+    """Losses and the checkpoint payload (``state_dict``) as bytes.
+
+    ``backbone`` replaces fields of the backbone config (e.g. the
+    encoder)."""
     dataset, word_vocab, char_vocab = corpus
     config = MethodConfig(
         seed=0, meta_batch=2, inner_steps_train=2, inner_steps_test=2,
@@ -48,6 +51,8 @@ def checkpoint_after_fit(corpus, name, overrides):
                                 hidden=8, context_dim=4, dropout=0.1),
         **overrides,
     )
+    if backbone:
+        config = config.with_backbone(**backbone)
     adapter = build_method(name, word_vocab, char_vocab, N_WAY, config)
     sampler = EpisodeSampler(dataset, N_WAY, 1, query_size=3, seed=1)
     losses = adapter.fit(sampler, 2)
@@ -85,5 +90,19 @@ def test_fit_checkpoint_identical_with_fused_encoder_on_and_off(
     fused = checkpoint_after_fit(corpus, name, overrides)
     with recurrent_kernel(False):
         tape = checkpoint_after_fit(corpus, name, overrides)
+    assert fused[0] == tape[0]
+    assert fused[1] == tape[1]
+
+
+def test_fit_checkpoint_identical_with_fused_bilstm_on_and_off(corpus):
+    """The stacked BiLSTM scan against the tape, end to end."""
+    overrides = {"pretrain_iterations": 1}
+    fused = checkpoint_after_fit(corpus, "FewNER", overrides,
+                                 encoder="bilstm")
+    with recurrent_kernel(False):
+        tape = checkpoint_after_fit(corpus, "FewNER", overrides,
+                                    encoder="bilstm")
+    # An LSTM cell: four gates of hidden size 8.
+    assert fused[1]["encoder.forward_rnn.cell.w_h"][1] == (8, 32)
     assert fused[0] == tape[0]
     assert fused[1] == tape[1]

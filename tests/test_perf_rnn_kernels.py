@@ -110,7 +110,7 @@ class TestBitIdentity:
             (tape,) = grad(layer(x, mask).sum(), [layer.cell.w_h])
         assert np.array_equal(fused.data, tape.data)
 
-    @pytest.mark.parametrize("layer_name", ["gru", "bigru", "lstm"])
+    @pytest.mark.parametrize("layer_name", ["gru", "bigru", "lstm", "bilstm"])
     def test_backward_spanning_multiple_scans_matches(self, rng, layer_name):
         """One backward over several scans of the same cell.
 
@@ -167,6 +167,100 @@ class TestBitIdentity:
             assert np.array_equal(fused_g, tape_g)
 
 
+class TestStackedBidirectionalScan:
+    """Both directions of a bidirectional layer step in one stacked scan
+    and one tape node; the output, ``dx`` and all six parameter
+    gradients must equal the ``recurrent_kernel(False)`` tape's."""
+
+    @staticmethod
+    def _assert_fused_equals_tape(run):
+        fused = run()
+        with recurrent_kernel(False):
+            tape = run()
+        assert len(fused) == len(tape)
+        for fused_a, tape_a in zip(fused, tape):
+            assert np.array_equal(fused_a, tape_a)
+
+    @pytest.mark.parametrize("cls", [BiGRU, BiLSTM])
+    @pytest.mark.parametrize("batch,length", [(1, 1), (1, 6), (4, 1)])
+    @pytest.mark.parametrize("mask_name", ["none", "zero-length-row"])
+    def test_single_row_and_single_step(self, rng, cls, batch, length,
+                                        mask_name):
+        layer = cls(5, 3, np.random.default_rng(11))
+        mask = _masks(rng, batch, length)[mask_name]
+        x = Tensor(rng.normal(size=(batch, length, 5)), requires_grad=True)
+
+        def run():
+            out, grads = _run(layer, x, mask)
+            return [out] + grads
+
+        assert len(layer.parameters()) == 6
+        self._assert_fused_equals_tape(run)
+
+    @pytest.mark.parametrize("cls", [BiGRU, BiLSTM])
+    def test_input_feeding_another_op(self, rng, cls):
+        """``x`` gets the forward scan's, the backward scan's and another
+        op's contributions; the three must be summed in the tape's order."""
+        layer = cls(4, 3, np.random.default_rng(13))
+        mask = _masks(rng, 3, 6)["ragged"]
+        x = Tensor(rng.normal(size=(3, 6, 4)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(4, 6)))
+
+        def run():
+            out = layer(x, mask)
+            side = (x @ weight).tanh()
+            for loss in ((out * out).sum() + (side * side).sum(),
+                         (side * side).sum() + (out * out).sum()):
+                yield from (g.data for g in
+                            grad(loss, [x] + layer.parameters()))
+
+        self._assert_fused_equals_tape(lambda: list(run()))
+
+    @pytest.mark.parametrize("cls", [BiGRU, BiLSTM])
+    def test_fast_weights_after_override_exits(self, rng, cls):
+        from repro.nn.module import override_params
+
+        layer = cls(3, 4, np.random.default_rng(14))
+        mask = _masks(rng, 2, 5)["zero-length-row"]
+        x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+        fast = {
+            name: Tensor(param.data * 1.5 + 0.1, requires_grad=True)
+            for name, param in layer.named_parameters()
+        }
+
+        def run():
+            with override_params(layer, fast):
+                out = layer(x, mask)
+            return [out.data] + [
+                g.data for g in
+                grad((out * out).sum(), [x] + list(fast.values()))
+            ]
+
+        self._assert_fused_equals_tape(run)
+
+    @pytest.mark.parametrize("cls", [BiGRU, BiLSTM])
+    def test_create_graph_raises_naming_the_switch(self, rng, cls):
+        layer = cls(3, 4, np.random.default_rng(15))
+        x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        out = layer(x)
+        with pytest.raises(RuntimeError,
+                           match=r"recurrent_kernel\(False\)"):
+            grad((out * out).sum(), [x], create_graph=True)
+
+    @pytest.mark.parametrize("cls", [BiGRU, BiLSTM])
+    def test_one_node_lists_x_once_per_direction(self, rng, cls):
+        from repro.autodiff.tensor import no_grad
+
+        layer = cls(3, 4, np.random.default_rng(16))
+        x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+        out = layer(x)
+        assert out.shape == (2, 5, 8)
+        assert len(out._node.parents) == 8  # x once per direction
+        assert out._node.parents[0] is x and out._node.parents[4] is x
+        with no_grad():
+            assert layer(x)._node is None
+
+
 def _tape_size(out):
     seen = set()
     stack = [out]
@@ -198,8 +292,8 @@ class TestTapeShape:
         x = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
         with profile_tape() as profile:
             layer(x).sum().backward()
-        assert profile.rnn_nodes == 2  # one fused node per direction
-        assert profile.summary()["rnn_nodes"] == 2
+        assert profile.rnn_nodes == 1  # both directions in one node
+        assert profile.summary()["rnn_nodes"] == 1
 
     def test_rnn_nodes_zero_on_legacy_path(self, rng):
         from repro.obs import profile_tape

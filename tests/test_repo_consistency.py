@@ -69,6 +69,50 @@ class TestDocsMatchCode:
         assert f'version = "{repro.__version__}"' in pyproject
 
 
+class TestCiInstallsWhatTestsImport:
+    """A clean CI runner has only what the workflow's pip step installs."""
+
+    def _installed(self):
+        workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        (command,) = re.findall(r"run: python -m pip install (.+)", workflow)
+        return {
+            name.lower().replace("-", "_")
+            for name in command.split() if not name.startswith("-")
+        }
+
+    def _third_party_imports(self):
+        import ast
+        import sys
+
+        first_party = {p.stem for p in (ROOT / "src").iterdir()}
+        first_party |= {"tests"} | {p.stem for p in (ROOT / "tests").glob("*.py")}
+        found = {}
+        for root in ("src", "tests"):
+            for path in (ROOT / root).rglob("*.py"):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Import):
+                        names = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom) and not node.level:
+                        names = [node.module]
+                    else:
+                        continue
+                    for name in names:
+                        top = name.split(".")[0]
+                        if (top not in sys.stdlib_module_names
+                                and top not in first_party):
+                            found.setdefault(top, path.relative_to(ROOT))
+        return found
+
+    def test_every_third_party_import_is_installed(self):
+        imported = self._third_party_imports()
+        assert "numpy" in imported
+        missing = {
+            name: str(path) for name, path in imported.items()
+            if name.lower() not in self._installed()
+        }
+        assert not missing, f"imported but not installed by CI: {missing}"
+
+
 class TestCommittedEvidence:
     """Speed tables quote only numbers a committed result document holds.
 
@@ -112,6 +156,35 @@ class TestCommittedEvidence:
                     )
                     checked += 1
         assert checked >= 20
+
+    def _committed_numbers_checked(self, heading):
+        """Check every number of the section's table; return how many."""
+        section = self._section(heading)
+        evidence = ROOT / re.search(r"`(docs/evidence/[\w-]+)/`",
+                                    section).group(1)
+        checked = 0
+        for line in section.splitlines():
+            if not line.startswith("| `"):
+                continue
+            workload, metric, *cells = [
+                cell.strip() for cell in line.strip().strip("|").split("|")
+            ]
+            workload = re.match(r"`(\w+)`", workload).group(1)
+            metric = re.match(r"`([\w.]+)`", metric).group(1)
+            for side, cell in zip(("parent", "change"), cells):
+                values = self._values(evidence, side, workload, metric)
+                assert values, (side, workload, metric)
+                for number in re.findall(r"\d+(?:\.\d+)?", cell):
+                    digits = len(number.partition(".")[2])
+                    assert number in {f"{v:.{digits}f}" for v in values}, (
+                        f"{workload} {metric} {side}: {number} is in no "
+                        f"committed result document"
+                    )
+                    checked += 1
+        return checked
+
+    def test_bidirectional_scan_table_numbers_are_committed(self):
+        assert self._committed_numbers_checked("Bidirectional scan") >= 40
 
 
 class TestPackagingHygiene:
