@@ -20,7 +20,8 @@ verify-kernels:
 	    --max-rounds 1 --seed 0
 
 verify-golden:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_golden_eval.py \
+	PYTHONPATH=src $(PYTHON) -m pytest -W error::RuntimeWarning \
+	    tests/test_golden_eval.py \
 	    tests/test_golden_serving.py \
 	    tests/test_perf_fused_checkpoints.py -q
 

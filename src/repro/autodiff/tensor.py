@@ -437,8 +437,11 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    # ``exp`` overflows below about -709; the result is the exact limit 0.
+    with np.errstate(over="ignore"):
+        value = 1.0 / (1.0 + np.exp(-a.data))
     return _with_output_vjp(
-        _make(1.0 / (1.0 + np.exp(-a.data)), (a,), (None,)), a,
+        _make(value, (a,), (None,)), a,
         lambda g, out: mul(g, mul(out, sub(Tensor(np.array(1.0)), out))),
     )
 

@@ -75,6 +75,15 @@ class EpisodeSampler:
             )
         if not self._pool:
             raise ValueError(f"dataset {dataset.name} has no annotated sentences")
+        # Label -> ascending pool indices of the sentences mentioning it,
+        # so the query pool is found without rescanning every span.
+        by_label: dict[str, list[int]] = {}
+        for i, sent in enumerate(self._pool):
+            for label in {span.label for span in sent.spans}:
+                by_label.setdefault(label, []).append(i)
+        self._by_label = {
+            label: np.array(indices) for label, indices in by_label.items()
+        }
 
     # ------------------------------------------------------------------
     def sample(self) -> Episode:
@@ -151,18 +160,9 @@ class EpisodeSampler:
             return None
 
         support_idx = self._prune(support_idx, ways)
-        chosen = set(support_idx)
         types = tuple(ways)
-        type_set = set(types)
-
-        # Query pool: remaining sentences mentioning at least one task type.
-        query_candidates = [
-            i
-            for i in range(len(self._pool))
-            if i not in chosen
-            and any(s.label in type_set for s in self._pool[i].spans)
-        ]
-        if not query_candidates:
+        query_candidates = self._query_candidates(support_idx, types)
+        if not len(query_candidates):
             return None
         take = min(self.query_size, len(query_candidates))
         q_idx = rng.choice(len(query_candidates), size=take, replace=False)
@@ -174,6 +174,16 @@ class EpisodeSampler:
             self._pool[i].restrict_labels(types) for i in support_idx
         )
         return Episode(types=types, support=support, query=query)
+
+    def _query_candidates(self, support_idx: list[int],
+                          types: tuple[str, ...]) -> np.ndarray:
+        """Ascending pool indices outside the support set that mention at
+        least one of ``types``: the episode's query pool."""
+        wanted = np.zeros(len(self._pool), dtype=bool)
+        for label in types:
+            wanted[self._by_label[label]] = True
+        wanted[support_idx] = False
+        return np.flatnonzero(wanted)
 
     def _prune(self, support_idx: list[int], ways: list[str]) -> list[int]:
         """Drop sentences whose removal keeps every way at >= K shots."""

@@ -17,8 +17,8 @@ precomputed slice), the loop-invariant scalar one and the per-step
 keep/frozen mask constants are allocated once instead of per timestep —
 the tape then grows by a fixed number of nodes per step (see
 ``tests/test_nn_rnn.py::TestTapeBudget``) — and mask application is
-skipped entirely for full-length batches (all-ones mask), the common
-case under length-band micro-batching in serving.
+skipped entirely for full-length batches (all-ones mask), such as a
+length-sorted serving micro-batch whose sentences share one length.
 """
 
 from __future__ import annotations

@@ -17,8 +17,9 @@ of forked worker processes.  Design constraints, in order:
   inherit it by copy-on-write and nothing but integer indices and
   results crosses the pipe.  Closures, adapters and models therefore
   never need to be picklable.
-* **Supervision** — tasks are submitted with ``apply_async`` and polled
-  with bounded waits instead of a blocking ``pool.map``.  Workers
+* **Supervision** — tasks are submitted with ``apply_async`` and
+  supervised with bounded waits instead of a blocking ``pool.map``; a
+  completion callback ends the wait at once.  Workers
   announce each task on a control queue, so the supervisor knows which
   index every worker pid is running; a crashed worker (abnormal
   exitcode among the pool's processes) or a hung worker (task past its
@@ -380,6 +381,10 @@ class EpisodeExecutor:
         current: dict[int, tuple] = {}        # pid -> (index, attempt)
         seen: dict[int, object] = {}          # pid -> Process
         begun: set[int] = set()               # first attempt has started
+        # Completions, as ``[index, AsyncResult]`` cells, pushed by the
+        # pool's result thread; ``wake`` cuts the supervisor's wait short.
+        finished: collections.deque = collections.deque()
+        wake = threading.Event()
         pool = None
         ctrl = None
 
@@ -427,9 +432,17 @@ class EpisodeExecutor:
                             deadline if i >= min_episodes
                             and i not in begun else None
                         )
-                        inflight[i] = pool.apply_async(
-                            _run_index, (i, attempt, skip_after)
-                        )
+                        cell = [i]
+
+                        def on_result(_value, cell=cell):
+                            finished.append(cell)
+                            wake.set()
+
+                        cell.append(pool.apply_async(
+                            _run_index, (i, attempt, skip_after),
+                            callback=on_result, error_callback=on_result,
+                        ))
+                        inflight[i] = cell[1]
                     # Control messages: who is running what, where.
                     try:
                         while not ctrl.empty():
@@ -443,10 +456,16 @@ class EpisodeExecutor:
                     except (OSError, EOFError):  # pragma: no cover
                         pass
                     # Completions (success, skip, exception, corrupt
-                    # result).
+                    # result).  The callback runs before ``ready()`` turns
+                    # true, so take what it reported and let ``get()``
+                    # wait out the rest; a cell whose handle is no longer
+                    # in flight belongs to an attempt already written off.
                     progressed = False
-                    for i in [i for i, h in inflight.items() if h.ready()]:
-                        handle = inflight.pop(i)
+                    while finished:
+                        i, handle = finished.popleft()
+                        if inflight.get(i) is not handle:
+                            continue
+                        inflight.pop(i)
                         started.pop(i, None)
                         for pid, (j, _a) in list(current.items()):
                             if j == i:
@@ -545,7 +564,8 @@ class EpisodeExecutor:
                         rebuild_pool(refund_inflight=True)
                         last_progress = time.perf_counter()
                         continue
-                    time.sleep(self.poll_interval_s)
+                    wake.wait(self.poll_interval_s)
+                    wake.clear()
                 return restarts, refunds
             finally:
                 _PAYLOAD = None

@@ -210,9 +210,12 @@ def _stacked_scan(cells, reverses, x: Tensor, mask, loop, bptt_loop) -> Tensor:
     record = is_grad_enabled() and any(p.requires_grad for p in parents)
 
     hs = cells[0].hidden_size
-    # The stacked gates live only while the loop runs.
-    out_steps, acts = loop(_input_gates(x.data, cells, reverses), w_h, keep,
-                           frozen, hs, record)
+    # The stacked gates live only while the loop runs.  A gate
+    # pre-activation below about -709 overflows ``exp`` in the sigmoid;
+    # its value, the exact limit 0, is right, so the warning is noise.
+    with np.errstate(over="ignore"):
+        out_steps, acts = loop(_input_gates(x.data, cells, reverses), w_h,
+                               keep, frozen, hs, record)
     out = np.empty((batch, length, len(cells) * hs), dtype=out_steps.dtype)
     for d, reverse in enumerate(reverses):
         out[:, :, d * hs:(d + 1) * hs] = _time_order(out_steps, d, reverse)

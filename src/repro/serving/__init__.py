@@ -13,7 +13,7 @@ package.  Five cooperating pieces (see ``docs/serving.md``):
 * :mod:`~repro.serving.breaker` — :class:`CircuitBreaker` trips on
   repeated Viterbi overruns/exceptions and half-opens after a cool-down;
 * :mod:`~repro.serving.service` — :class:`TaggingService` wires it all
-  together: bounded admission queue, micro-batching by length band,
+  together: bounded admission queue, length-sorted micro-batching,
   deadline-bounded decode with greedy degradation, quality-flagged
   :class:`TagResult` / :class:`Rejected` / :class:`Overloaded` results.
 

@@ -10,9 +10,9 @@ production tagger needs:
 2. **Validation/sanitization** — NFC normalization, control-character
    stripping, length caps; garbage becomes a structured
    :class:`Rejected` result, never a traceback.
-3. **Micro-batching** — admitted requests are grouped by length band
-   (compatible padding) into batches of ``max_batch_size`` and encoded
-   once per batch.
+3. **Micro-batching** — admitted requests are sorted by token count
+   (stable, so FIFO among equal lengths) and cut into batches of
+   ``max_batch_size``, each encoded once with little padding.
 4. **Deadline-bounded decode** — each request's monotonic-clock
    :class:`~repro.serving.deadline.Deadline` (started at admission, so
    queue wait counts) is threaded into the batched decode; once budget
@@ -32,6 +32,7 @@ passes through, by design.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Sequence
@@ -174,8 +175,6 @@ class ServiceConfig:
     max_batch_size: int = 16
     #: Requests admitted per processing cycle; the rest are shed.
     max_pending: int = 64
-    #: Length-band width (tokens) for micro-batch compatibility grouping.
-    length_band: int = 16
     #: Consecutive Viterbi failures (overrun or exception) that trip the
     #: breaker.
     breaker_threshold: int = 3
@@ -190,8 +189,6 @@ class ServiceConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if self.length_band < 1:
-            raise ValueError("length_band must be >= 1")
 
 
 @dataclass
@@ -515,10 +512,10 @@ class TaggingService:
     def _police_queue(self, pending: list[_Pending]) -> list[_Pending]:
         """Overload-control pass over the queue before batching.
 
-        Fails requests whose deadline expired while they waited, runs
-        the CoDel staleness discipline over the rest, and orders the
-        survivors highest-priority-first (FIFO within a class).  Both
-        expiries and CoDel drops count as deadline misses for the
+        Fails requests whose deadline expired while they waited and runs
+        the CoDel staleness discipline over the rest; the survivors keep
+        their FIFO order (:meth:`_micro_batches` orders them by class).
+        Both expiries and CoDel drops count as deadline misses for the
         brownout ladder — they are symptoms of a standing queue.
         """
         survivors: list[_Pending] = []
@@ -541,35 +538,29 @@ class TaggingService:
                 self.ladder.observe(True)
                 continue
             survivors.append(item)
-        survivors.sort(key=lambda it: (PRIORITY_RANK[it.priority], it.key))
         return survivors
 
     # ------------------------------------------------------------------
     # Pipeline internals
     # ------------------------------------------------------------------
     def _micro_batches(self, pending: list[_Pending]) -> Iterable[list[_Pending]]:
-        """Group compatible requests: same length band, FIFO, bounded size.
+        """Cut the drain into batches of at most ``max_batch_size``.
 
-        Length banding keeps padding waste bounded — a 4-token tweet is
-        never padded to a 400-token clause — without reordering requests
-        inside a band.
+        One stable sort by token count groups sentences of similar
+        length, so a batch pads little, and keeps FIFO order among equal
+        lengths.  With overload control on, the sort leads with the
+        priority class, highest first, and no batch spans two classes,
+        so the brownout mode is uniform across the batch.
         """
-        bands: dict[tuple, list[_Pending]] = {}
-        order: list[tuple] = []
-        for item in pending:
-            band = ((len(item.sentence) - 1) // self.config.length_band,)
-            if self.ladder is not None:
-                # One priority class per micro-batch, so the brownout
-                # mode is uniform across the batch.
-                band = (PRIORITY_RANK[item.priority],) + band
-            if band not in bands:
-                bands[band] = []
-                order.append(band)
-            bands[band].append(item)
-        for band in order:
-            group = bands[band]
-            for i in range(0, len(group), self.config.max_batch_size):
-                yield group[i : i + self.config.max_batch_size]
+        def rank(item: _Pending) -> int:
+            return 0 if self.ladder is None else PRIORITY_RANK[item.priority]
+
+        ordered = sorted(pending, key=lambda it: (rank(it), len(it.sentence)))
+        size = self.config.max_batch_size
+        for _rank, group in itertools.groupby(ordered, key=rank):
+            group = list(group)
+            for i in range(0, len(group), size):
+                yield group[i : i + size]
 
     def _batch_deadline(self, batch: list[_Pending]) -> Deadline | None:
         """The tightest member deadline governs the whole micro-batch.

@@ -116,6 +116,21 @@ class TestGreedyGain:
         assert all(counts[t] >= 1 for t in episode.types)
 
 
+class TestQueryPoolIndex:
+    @pytest.mark.parametrize("seed,n_way,k_shot", [
+        (0, 5, 1), (1, 3, 5), (7, 2, 3), (11, 5, 5),
+    ])
+    def test_episodes_match_the_span_scan(self, corpus, seed, n_way,
+                                          k_shot):
+        from tests.reference.episodes import ScanEpisodeSampler
+
+        fast = EpisodeSampler(corpus, n_way, k_shot, query_size=8, seed=seed)
+        scan = ScanEpisodeSampler(corpus, n_way, k_shot, query_size=8,
+                                  seed=seed)
+        assert fast.sample_many(12) == scan.sample_many(12)
+        assert fast.rng_state() == scan.rng_state()
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 50))
 def test_sampler_invariants_property(n_way, k_shot, seed):

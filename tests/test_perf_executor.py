@@ -39,6 +39,15 @@ class TestEpisodeExecutor:
         assert not ex.parallel_available
         assert ex.run(lambda item, i: item + i, [5, 6]).results == [5, 7]
 
+    def test_completion_ends_the_wait(self):
+        # A completion wakes the supervisor: with a 5 s poll interval the
+        # run still returns at once instead of sleeping a full interval.
+        ex = EpisodeExecutor(workers=2, poll_interval_s=5.0)
+        began = time.perf_counter()
+        report = ex.run(lambda item, i: item + i, [1, 2, 3, 4])
+        assert time.perf_counter() - began < 2.0
+        assert report.results == [1, 3, 5, 7]
+
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             EpisodeExecutor(workers=-1)

@@ -9,10 +9,12 @@ rows; the whole sequence registers as one tape node; and, mirroring
 ``create_graph=True`` is rejected rather than silently wrong.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.autodiff.tensor import Tensor, grad
+from repro.autodiff.tensor import Tensor, grad, sigmoid
 from repro.nn.rnn import GRU, LSTM, BiGRU, BiLSTM
 from repro.perf.fastpath import (
     fastpath_state,
@@ -272,6 +274,40 @@ def _tape_size(out):
         if t._node is not None:
             stack.extend(t._node.parents)
     return len(seen)
+
+
+class TestSaturatedGates:
+    """A gate pre-activation below about -709 overflows ``exp``; the
+    sigmoid's value is the exact limit 0, and no warning escapes."""
+
+    def test_tape_sigmoid_of_minus_800_is_exactly_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = sigmoid(Tensor(np.array([-800.0, 0.0])))
+        assert out.data.tolist() == [0.0, 0.5]
+
+    @pytest.mark.parametrize("cls", [BiGRU, BiLSTM])
+    def test_saturated_scan_warns_on_neither_route(self, cls):
+        hidden = 4
+        layer = cls(6, hidden, np.random.default_rng(1))
+        for rnn in (layer.forward_rnn, layer.backward_rnn):
+            bias = rnn.cell.bias.data
+            bias[: 2 * hidden] = -800.0  # GRU r, z; LSTM i, f
+            if cls is BiLSTM:
+                bias[3 * hidden:] = -800.0  # LSTM o
+        x = Tensor(np.zeros((2, 3, 6)), requires_grad=True)
+        mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        runs = []
+        for fused in (True, False):
+            with warnings.catch_warnings(), recurrent_kernel(fused):
+                warnings.simplefilter("error", RuntimeWarning)
+                runs.append(_run(layer, x, mask))
+        (fused_out, fused_grads), (tape_out, tape_grads) = runs
+        assert np.array_equal(fused_out, tape_out)
+        for a, b in zip(fused_grads, tape_grads):
+            assert np.array_equal(a, b)
+        if cls is BiLSTM:
+            assert not fused_out.any()  # o = 0 exactly, so h = 0
 
 
 class TestTapeShape:

@@ -186,6 +186,11 @@ class TestCommittedEvidence:
     def test_bidirectional_scan_table_numbers_are_committed(self):
         assert self._committed_numbers_checked("Bidirectional scan") >= 40
 
+    def test_length_sorted_micro_batches_table_numbers_are_committed(self):
+        checked = self._committed_numbers_checked(
+            "Length-sorted micro-batches")
+        assert checked >= 130
+
 
 class TestPackagingHygiene:
     def test_all_packages_have_init(self):

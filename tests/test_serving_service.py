@@ -117,15 +117,74 @@ class TestLoadShedding:
         assert all(r.ok for r in service.tag_many([["c"], ["d"]]))
 
 
+def record_batches(service):
+    """Spy on ``_process_batch``: one ``[(ticket, tokens, priority)]`` per
+    micro-batch, in processing order."""
+    batches = []
+    process = service._process_batch
+
+    def spy(batch):
+        batches.append([(p.key, p.sentence.tokens, p.priority)
+                        for p in batch])
+        process(batch)
+
+    service._process_batch = spy
+    return batches
+
+
 class TestMicroBatching:
-    def test_batches_respect_size_and_length_bands(self, model, scheme):
-        service = make_service(model, scheme, max_batch_size=2, length_band=4)
-        short = [["a"]] * 3
-        long = [["w"] * 9] * 2
-        results = service.tag_many(short + long)
+    def test_batches_respect_size_and_sort_by_length(self, model, scheme):
+        service = make_service(model, scheme, max_batch_size=2)
+        batches = record_batches(service)
+        long, short = ["w"] * 9, ["a"]
+        results = service.tag_many([long, short, long, short, short])
         assert all(r.ok for r in results)
-        # 3 short → 2 batches; 2 long (different band) → 1 batch
+        # Sorted lengths 1, 1, 1, 9, 9 cut into pairs.
+        assert [[len(t) for _k, t, _p in b] for b in batches] == [
+            [1, 1], [1, 9], [9],
+        ]
         assert service.stats["batches"] == 3
+
+    def test_shortest_first_with_fifo_among_equal_lengths(self, model, scheme):
+        service = make_service(model, scheme, max_batch_size=16)
+        batches = record_batches(service)
+        requests = [TOKENS[:n] for n in (5, 2, 7, 2, 5, 1, 2)]
+        service.tag_many(requests)
+        (batch,) = batches
+        # Lengths 1, 2, 2, 2, 5, 5, 7; the three 2s and the two 5s keep
+        # their ticket order.
+        assert [k for k, _t, _p in batch] == [5, 1, 3, 6, 0, 4, 2]
+
+    def test_sorting_leaves_answers_in_submission_order(self, model, scheme):
+        from repro.data.sentence import Sentence
+
+        rng = np.random.default_rng(5)
+        requests = [list(rng.choice(TOKENS, size=int(n)))
+                    for n in rng.integers(1, 12, size=24)]
+        results = make_service(model, scheme, max_batch_size=4).tag_many(
+            requests)
+        direct = model.predict_spans(
+            [Sentence(tuple(r)) for r in requests], scheme)
+        assert [list(r.spans) for r in results] == direct
+
+    def test_one_priority_class_per_batch_under_overload(self, model, scheme):
+        from repro.serving import OverloadConfig
+
+        service = make_service(model, scheme, max_batch_size=2,
+                               overload=OverloadConfig())
+        batches = record_batches(service)
+        plan = [("batch", 1), ("interactive", 6), ("standard", 2),
+                ("interactive", 1), ("batch", 4), ("standard", 1),
+                ("interactive", 3)]
+        for priority, n in plan:
+            service.submit(TOKENS[:n], priority=priority)
+        assert all(r.ok for r in service.drain().values())
+        assert [[(p, len(t)) for _k, t, p in b] for b in batches] == [
+            [("interactive", 1), ("interactive", 3)],
+            [("interactive", 6)],
+            [("standard", 1), ("standard", 2)],
+            [("batch", 1), ("batch", 4)],
+        ]
 
 
 class TestDeadlines:
