@@ -23,7 +23,8 @@ verify-golden:
 	PYTHONPATH=src $(PYTHON) -m pytest -W error::RuntimeWarning \
 	    tests/test_golden_eval.py \
 	    tests/test_golden_serving.py \
-	    tests/test_perf_fused_checkpoints.py -q
+	    tests/test_perf_fused_checkpoints.py \
+	    tests/test_perf_inner_loop.py -q
 
 verify-executor:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_perf_executor.py \

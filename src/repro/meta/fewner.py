@@ -112,12 +112,33 @@ class FewNER(Adapter):
         # A second-order φ step differentiates through the NLL gradient,
         # which the first-order fused kernel cannot record.
         nll_mode = fastpath(fused_nll_enabled() and not create_graph)
+        fused = (base is not None and self.config.inner_loss == "ce"
+                 and self.model.config.conditioning == "head"
+                 and fused_nll_enabled())
         try:
             with obs.span("inner_loop", steps=steps), nll_mode:
+                if fused:
+                    # First-order on the head site: the whole loop runs
+                    # off the tape, bit-identical to the steps below.
+                    from repro.perf.kernels import inner_loop_fused
+
+                    projection = self.model.projection
+                    phi_k = inner_loop_fused(
+                        base.data, projection.weight.data,
+                        projection.bias.data, *self.model.gold_targets(batch),
+                        self.config.inner_lr, steps,
+                    )
+                    return Tensor(phi_k, requires_grad=True)
                 for _k in range(steps):
                     loss = inner_loss(batch, phi, base=base)
                     (g_phi,) = grad(loss, [phi], create_graph=create_graph)
-                    phi = phi - alpha * g_phi
+                    if create_graph:
+                        phi = phi - alpha * g_phi
+                    else:
+                        # A first-order step is a value, not a graph: a
+                        # fresh leaf keeps the next sweep off this chain.
+                        phi = Tensor(phi.data - alpha.data * g_phi.data,
+                                     requires_grad=True)
         finally:
             self.model.train(was_training)
         return phi
@@ -189,9 +210,9 @@ class FewNER(Adapter):
     def adapt_context(self, episode: Episode, steps: int | None = None) -> Tensor:
         """Public access to the adapted φ (used by analyses/examples)."""
         self.model.eval()
-        return self._inner_adapt(
-            episode, steps or self.config.inner_steps_test, create_graph=False
-        ).detach()
+        if steps is None:
+            steps = self.config.inner_steps_test
+        return self._inner_adapt(episode, steps, create_graph=False).detach()
 
     # ------------------------------------------------------------------
     def fit_with_validation(self, sampler: EpisodeSampler,

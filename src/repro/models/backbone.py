@@ -241,14 +241,31 @@ class CNNBiGRUCRF(Module):
         Uses the batched padded forward algorithm so the graph size grows
         with sentence length, not with batch size.
         """
+        padded_tags, _ = self.gold_targets(batch, balanced=False)
+        scores = self.emission_scores(batch, phi, base=base)
+        return self.crf.batch_nll_padded(scores, padded_tags, batch.mask)
+
+    def gold_targets(self, batch: Batch,
+                     balanced: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Padded gold tags ``(B, L)`` and the token CE weights ``(B, L)``.
+
+        The weights are the mask, or with ``balanced`` the inverse count
+        of each real token's gold tag in the batch (see
+        :meth:`token_ce_loss`).
+        """
         if batch.tag_ids is None:
             raise ValueError("batch was encoded without gold tags")
-        scores = self.emission_scores(batch, phi, base=base)
-        b, max_len = batch.word_ids.shape
-        padded_tags = np.zeros((b, max_len), dtype=np.intp)
-        for i, tags in enumerate(batch.tag_ids):
-            padded_tags[i, : len(tags)] = tags
-        return self.crf.batch_nll_padded(scores, padded_tags, batch.mask)
+        real = batch.mask > 0
+        padded_tags = np.zeros(batch.mask.shape, dtype=np.intp)
+        # Real cells in row-major order are the batch's tokens in order.
+        padded_tags[real] = np.concatenate(batch.tag_ids)
+        if not balanced:
+            return padded_tags, batch.mask.copy()
+        flat_tags = padded_tags[real]
+        counts = np.bincount(flat_tags, minlength=self.num_tags)
+        weights = np.zeros_like(batch.mask)
+        weights[real] = 1.0 / counts[flat_tags]
+        return padded_tags, weights
 
     def token_ce_loss(self, batch: Batch, phi: Tensor | None = None,
                       balanced: bool = True,
@@ -267,26 +284,13 @@ class CNNBiGRUCRF(Module):
         """
         from repro.autodiff.functional import log_softmax
 
-        if batch.tag_ids is None:
-            raise ValueError("batch was encoded without gold tags")
+        padded_tags, weights = self.gold_targets(batch, balanced)
         scores = self.emission_scores(batch, phi, base=base)
-        b, max_len = batch.word_ids.shape
+        b, max_len = padded_tags.shape
         log_probs = log_softmax(scores, axis=-1)
-        padded_tags = np.zeros((b, max_len), dtype=np.intp)
-        for i, tags in enumerate(batch.tag_ids):
-            padded_tags[i, : len(tags)] = tags
         rows = np.arange(b)[:, None]
         cols = np.arange(max_len)[None, :]
         picked = log_probs[rows, cols, padded_tags]  # (B, L)
-        weights = batch.mask.copy()
-        if balanced:
-            counts = np.zeros(self.num_tags)
-            flat_tags = padded_tags[batch.mask > 0]
-            for tag in flat_tags:
-                counts[tag] += 1
-            inv = np.zeros_like(weights)
-            inv[batch.mask > 0] = 1.0 / counts[flat_tags]
-            weights = inv
         total = float(weights.sum())
         weighted = picked * Tensor(weights)
         return (weighted.sum() * Tensor(np.array(-1.0))) / Tensor(np.array(total))

@@ -5,7 +5,8 @@ Two coordinated pieces:
 * :mod:`repro.perf.kernels` + :mod:`repro.perf.rnn_kernels` +
   :mod:`repro.perf.conv_kernels` + :mod:`repro.perf.fastpath` —
   batched CRF Viterbi/greedy decode (bit-identical to the per-sentence
-  recursions), a fused single-tape-node CRF NLL, and fused
+  recursions), a fused single-tape-node CRF NLL, FEWNER's first-order
+  inner loop off the tape, and fused
   single-tape-node GRU/LSTM scans and char-CNN with hand-derived
   backwards (all on by default, first-order only, bit-identical in
   outputs *and* gradients);

@@ -13,7 +13,11 @@ to turn it off:
   backward runs outside the tape, so second-order differentiation
   through it is rejected at backprop time.  Second-order work runs
   under ``fastpath(False)``: each outer iteration of FEWNER and MAML
-  with ``second_order``, and the E6 inner-step timing.
+  with ``second_order``, and the E6 inner-step timing.  The same switch
+  gates FEWNER's fused first-order inner loop
+  (``repro.perf.kernels.inner_loop_fused``): with θ frozen, dropout off,
+  the token CE loss and φ on the emission head, every φ step runs in
+  plain numpy off the tape, bit-identical to the tape loop.
 * **Recurrent kernel** (default *on*): the fused encoder kernels.
   GRU/LSTM layers unroll the whole sequence inside one fused numpy scan
   registered as a *single* tape node with a hand-derived BPTT backward
@@ -52,7 +56,7 @@ def _enabled(name: str) -> bool:
 
 
 def fused_nll_enabled() -> bool:
-    """Whether the fused first-order CRF NLL kernel is active."""
+    """Whether the fused first-order CRF NLL and inner-loop kernels are active."""
     return _enabled("fused_nll")
 
 
@@ -82,6 +86,8 @@ def fastpath(enabled: bool = True):
     The kernel is on by default and first-order only: calling
     ``grad(..., create_graph=True)`` through a loss it produced raises
     ``RuntimeError``, so second-order work runs under ``fastpath(False)``.
+    The switch also selects FEWNER's fused first-order inner loop; with
+    it off, every φ step runs on the tape.
     """
     return _scoped("fused_nll", enabled)
 

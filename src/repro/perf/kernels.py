@@ -1,4 +1,5 @@
-"""Batch-vectorised CRF kernels: decode and the fused NLL.
+"""Batch-vectorised CRF kernels (decode, the fused NLL) and FEWNER's
+fused first-order inner loop.
 
 Every function here operates on a *padded* batch — emissions ``(B, L, T)``
 with a ``(B, L)`` mask whose first column is all ones — and replaces a
@@ -17,6 +18,10 @@ bit-identical.  One node instead of ``O(L)`` is what makes it fast — and
 what makes it first-order only: its backward runs outside the tape, so
 differentiating through it is rejected with ``RuntimeError`` rather than
 silently returning zeros.
+
+:func:`inner_loop_fused` takes FEWNER's whole first-order φ loop off
+the tape: with θ frozen nothing in it needs recording, so it returns φ
+as plain numpy, bit-identical to the tape's steps.
 """
 
 from __future__ import annotations
@@ -53,13 +58,6 @@ def _check_batch(emissions: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if emissions.shape[1] == 0 or (mask[:, 0] < 1).any():
         raise ValueError("every sequence must have at least one token")
     return mask
-
-
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    m = x.max(axis=axis, keepdims=True)
-    return np.squeeze(
-        m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True)), axis=axis
-    )
 
 
 # ----------------------------------------------------------------------
@@ -157,17 +155,22 @@ def _logsumexp(x: np.ndarray, axis: int):
     return peak + np.log(total), (x, peak, shifted_exp, total)
 
 
-def _logsumexp_vjp(g: np.ndarray, residuals, axis: int) -> np.ndarray:
+def _logsumexp_vjp(g: np.ndarray, residuals, axis: int,
+                   direct: np.ndarray | None = None) -> np.ndarray:
     """Replay the tape's VJPs of ``peak + log(sum(exp(x - peak)))``.
 
     ``peak``'s gradient is its direct term plus the ``sub`` term, in
     that order; ``x``'s is the ``sub`` term plus the max term, whose
-    tie-split mask is rebuilt exactly as ``max_`` builds it."""
+    tie-split mask is rebuilt exactly as ``max_`` builds it.  A
+    ``direct`` gradient of ``x`` from a later consumer (``x - lse`` in a
+    log-softmax) reaches ``x`` first, so it is summed first."""
     x, peak, shifted_exp, total = residuals
     g_shifted = np.broadcast_to(g / total, x.shape) * shifted_exp
     g_peak = g + _unbroadcast(-g_shifted, peak.shape)
     ties = (x == peak).astype(DEFAULT_DTYPE)
     ties = ties / ties.sum(axis=(axis,), keepdims=True)
+    if direct is not None:
+        g_shifted = direct + g_shifted
     return g_shifted + g_peak * ties
 
 
@@ -270,3 +273,49 @@ def crf_nll_fused(crf, emissions, tags, mask) -> Tensor:
     return _make(
         value, parents, _fused_vjps(backward, len(parents), _SECOND_ORDER_MSG)
     )
+
+
+# ----------------------------------------------------------------------
+# The fused inner loop
+# ----------------------------------------------------------------------
+def inner_loop_fused(base: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                     tags: np.ndarray, weights: np.ndarray, lr: float,
+                     steps: int) -> np.ndarray:
+    """FEWNER's first-order φ loop on the head site, off the tape.
+
+    ``base`` is the frozen encoder pass ``(B, L, F)``; ``weight``/``bias``
+    the emission projection; ``tags`` and ``weights`` the padded gold
+    tags and token weights of the balanced token CE
+    (:meth:`~repro.models.CNNBiGRUCRF.gold_targets`).  Returns φ after
+    ``steps`` plain gradient steps of size ``lr`` from φ = 0, flat.
+
+    Bit-identical to the tape loop (``token_ce_loss`` and ``grad`` per
+    step): everything that does not depend on φ is computed once — the
+    θ-only scores ``base @ weight + bias`` and the loss's gradient with
+    respect to the log-probs and their normaliser — and each step runs
+    the log-softmax ops and replays their VJPs in the tape's order.
+    """
+    batch, length, feat = base.shape
+    num_tags = weight.shape[1]
+    s0 = base @ weight + bias
+    # d loss / d log_probs: the mean's division, the sign, the sum's
+    # broadcast, the weights and the gather's scatter, as the tape runs them.
+    g_sum = np.ones(()) / np.array(float(weights.sum())) * np.array(-1.0)
+    rows = np.arange(batch)[:, None]
+    cols = np.arange(length)[None, :]
+    g_log_probs = scatter_array(
+        (batch, length, num_tags), (rows, cols, tags),
+        np.broadcast_to(g_sum.reshape((1, 1)), (batch, length)) * weights,
+    )
+    g_lse = _unbroadcast(-g_log_probs, (batch, length, 1))
+    base_t = np.transpose(base, (0, 2, 1))
+    alpha = np.array(lr)
+    phi = np.zeros(feat * num_tags, dtype=DEFAULT_DTYPE)
+    for _ in range(steps):
+        scores = s0 + base @ phi.reshape((feat, num_tags))
+        _lse, residuals = _logsumexp(scores, axis=2)
+        g_scores = _logsumexp_vjp(g_lse, residuals, axis=2,
+                                  direct=g_log_probs)
+        g_phi = _unbroadcast(base_t @ g_scores, (feat, num_tags))
+        phi = phi - alpha * g_phi.reshape(phi.shape)
+    return phi

@@ -191,6 +191,9 @@ class TestCommittedEvidence:
             "Length-sorted micro-batches")
         assert checked >= 130
 
+    def test_fused_inner_loop_table_numbers_are_committed(self):
+        assert self._committed_numbers_checked("Fused inner loop") >= 130
+
 
 class TestPackagingHygiene:
     def test_all_packages_have_init(self):
