@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-tables-smoke examples lint verify-kernels verify-golden verify-executor verify-reliability verify-serving verify-gateway verify-overload verify-chaos verify-obs verify-store verify-trace
+.PHONY: install test bench bench-smoke bench-tables-smoke examples lint verify-kernels verify-golden verify-executor verify-reliability verify-serving verify-gateway verify-overload verify-chaos verify-obs verify-trace
 
 install:
 	$(PYTHON) setup.py develop
@@ -39,6 +39,7 @@ verify-reliability:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_reliability_guard.py \
 	    tests/test_reliability_checkpoint.py \
 	    tests/test_reliability_harness.py \
+	    tests/test_reliability_integrity.py \
 	    tests/test_reliability_cli.py -q
 
 verify-serving:
@@ -71,16 +72,6 @@ verify-overload:
 
 verify-chaos:
 	PYTHONPATH=src $(PYTHON) -m repro chaos soak --max-rounds 1 --seed 0
-
-verify-store:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_store.py \
-	    tests/test_store_recovery.py \
-	    tests/test_store_cache.py \
-	    tests/test_store_integration.py \
-	    tests/test_reliability_integrity.py -q
-	PYTHONPATH=src $(PYTHON) -m repro chaos soak \
-	    --scenario store-corruption --scenario store-crash-mid-write \
-	    --max-rounds 2 --time-budget-s 120 --seed 0
 
 verify-obs:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_obs_trace.py \

@@ -18,26 +18,15 @@ Commands:
   bursts) under a time/round budget and fail on any broken invariant;
 * ``obs report`` — aggregate a ``--telemetry`` JSONL stream into a
   run report (per-phase time breakdown, executor retry/quarantine
-  counts, adaptation-cache and persistent-store hit rates, notable
-  events);
+  counts, adaptation-cache hit rate, notable events);
 * ``obs trace``  — render one request's cross-process hop timeline
-  from a traced telemetry stream (see ``--trace-requests``);
-* ``store``      — inspect/maintain a persistent store directory
-  (``stats``, ``verify``, ``compact``).
+  from a traced telemetry stream (see ``--trace-requests``).
 
 The ``train``, ``evaluate``, ``experiment`` and ``tag`` commands
 accept ``--telemetry PATH``: the whole command runs inside a
 :mod:`repro.obs` telemetry session and appends spans, events and a
 final metrics snapshot to ``PATH`` as JSON lines.  Telemetry
 never changes results — scores are bit-identical with it on or off.
-
-The ``train``, ``evaluate``, ``tag``, ``serve`` and ``loadgen``
-commands accept ``--store-dir DIR``: expensive frozen computations
-(embedding matrices, contextual features, adaptation encoder passes,
-decoded paths) are persisted in a crash-safe content-addressed store
-and reused across runs.  Like telemetry, the store never changes
-results — cache hits are bit-identical to recomputing, and any store
-fault degrades to recompute (``docs/store.md``).
 
 Examples::
 
@@ -88,15 +77,6 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
                              "events are dumped to DIR/flight-<pid>.jsonl "
                              "on breaker-open, brownout escalation or "
                              "replica death (works without --telemetry)")
-
-
-def _add_store_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--store-dir", default=None, metavar="DIR",
-                        help="persistent embedding/adaptation store "
-                             "directory; cached computations are reused "
-                             "across runs, bit-identically, and any "
-                             "store fault degrades to recompute "
-                             "(inspect with 'repro store stats DIR')")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -590,59 +570,6 @@ def cmd_obs_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_store(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from repro.store import ContentStore, StoreError
-
-    if not os.path.isdir(args.directory):
-        print(f"error: store directory {args.directory!r} does not exist",
-              file=sys.stderr)
-        return 2
-    try:
-        if args.store_command == "compact":
-            with ContentStore(args.directory, writer=True) as store:
-                if not store.writer:
-                    print(f"error: store {args.directory!r} is locked by "
-                          f"another writer; cannot compact", file=sys.stderr)
-                    return 1
-                out = store.compact()
-            print(f"compacted {out['records']} record(s): "
-                  f"{out['before_bytes']} -> {out['after_bytes']} bytes, "
-                  f"{out['segments_removed']} segment(s) removed")
-            return 0
-        # stats/verify open read-only: no lock taken, no repair performed.
-        with ContentStore(args.directory, writer=False) as store:
-            if args.store_command == "verify":
-                out = store.verify()
-                if args.json:
-                    print(json.dumps(out, indent=2, sort_keys=True))
-                else:
-                    print(f"{out['segments']} segment(s), "
-                          f"{out['records']} record(s), "
-                          f"{out['bytes']} payload byte(s)")
-                    for bad in out["bad"]:
-                        print(f"  [{bad['damage']}] {bad['segment']}: "
-                              f"{bad['detail']}")
-                return 1 if out["bad"] else 0
-            out = store.stats()
-            if args.json:
-                print(json.dumps(out, indent=2, sort_keys=True))
-            else:
-                print(f"store {out['directory']}: {out['records']} "
-                      f"record(s) in {out['segments']} segment(s), "
-                      f"{out['file_bytes']} bytes on disk "
-                      f"({out['live_bytes']} live)")
-                if out["quarantined_files"]:
-                    print(f"  quarantined: "
-                          f"{', '.join(out['quarantined_files'])}")
-            return 0
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     from repro.data.lint import CorpusLintError, CorpusValidator
 
@@ -704,7 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="iterations between training checkpoints "
                         "(with --resume)")
     _add_telemetry_arg(p)
-    _add_store_arg(p)
     p.add_argument("output")
     p.set_defaults(func=cmd_train)
 
@@ -723,7 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-episode deadline under --workers; a hung "
                         "episode is retried on a fresh worker")
     _add_telemetry_arg(p)
-    _add_store_arg(p)
     p.add_argument("checkpoint")
     p.set_defaults(func=cmd_evaluate)
 
@@ -771,7 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit non-zero on any invalid or quarantined "
                         "input instead of skipping it")
     _add_telemetry_arg(p)
-    _add_store_arg(p)
     p.set_defaults(func=cmd_tag)
 
     p = sub.add_parser(
@@ -812,7 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the machine-readable gateway report")
     _add_telemetry_arg(p)
     _add_trace_args(p)
-    _add_store_arg(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -852,7 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print machine-readable SLO summaries")
     _add_telemetry_arg(p)
     _add_trace_args(p)
-    _add_store_arg(p)
     p.set_defaults(func=cmd_loadgen)
 
     p = sub.add_parser("chaos", help="chaos/soak testing tools")
@@ -907,32 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "the rendered timeline")
     p.set_defaults(func=cmd_obs_trace)
 
-    p = sub.add_parser("store", help="persistent-store tools")
-    store_sub = p.add_subparsers(dest="store_command", required=True)
-    p = store_sub.add_parser(
-        "stats",
-        help="record/segment counts, bytes and quarantined files",
-    )
-    p.add_argument("directory")
-    p.add_argument("--json", action="store_true",
-                   help="print the machine-readable snapshot")
-    p.set_defaults(func=cmd_store)
-    p = store_sub.add_parser(
-        "verify",
-        help="full integrity scan of every segment; exit 1 on damage "
-             "(read-only: repairs happen at the next writer open)",
-    )
-    p.add_argument("directory")
-    p.add_argument("--json", action="store_true",
-                   help="print the machine-readable scan result")
-    p.set_defaults(func=cmd_store)
-    p = store_sub.add_parser(
-        "compact",
-        help="rewrite live records into one fresh segment, atomically",
-    )
-    p.add_argument("directory")
-    p.set_defaults(func=cmd_store)
-
     p = sub.add_parser("validate",
                        help="lint a CoNLL corpus; non-zero exit on defects")
     p.add_argument("input")
@@ -950,7 +846,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     telemetry = getattr(args, "telemetry", None)
-    store_dir = getattr(args, "store_dir", None)
     with contextlib.ExitStack() as stack:
         if telemetry:
             from repro.obs import telemetry_session
@@ -964,12 +859,6 @@ def main(argv: list[str] | None = None) -> int:
             from repro.obs.reqtrace import flight_recorder
 
             stack.enter_context(flight_recorder(args.flight_dir))
-        if store_dir:
-            # Entered after telemetry so store open/degrade events land
-            # in the JSONL stream and the final metrics snapshot.
-            from repro.store import store_session
-
-            stack.enter_context(store_session(store_dir))
         return args.func(args)
 
 

@@ -82,25 +82,11 @@ class SimulatedContextualEmbedder:
         """Contextual features for a token sequence: ``(L, output_dim)``.
 
         The encoder is frozen, so the output is a pure function of its
-        construction arguments and the tokens; with a persistent store
-        active (``--store-dir``), per-sentence features are reused
-        across runs and processes, bit-identically.
+        construction arguments and the tokens.
         """
-        from repro import store as pstore
-
         tokens = list(tokens)
         if not tokens:
             raise ValueError("cannot encode an empty sentence")
-        store = pstore.active()
-        key = None
-        if store is not None:
-            key = pstore.make_key(
-                "ctx_encode", self.name, self.dim, self.bidirectional,
-                self.depth, self.seed, *tokens,
-            )
-            cached = store.get_array(key)
-            if cached is not None:
-                return cached
         features = np.stack([self._static.vector(t) for t in tokens])
         fwd = self._run_direction(features, reverse=False)
         if self.bidirectional:
@@ -108,8 +94,6 @@ class SimulatedContextualEmbedder:
             out = np.concatenate([fwd, bwd], axis=-1)
         else:
             out = fwd
-        if key is not None:
-            store.put_array(key, out)
         return out
 
 

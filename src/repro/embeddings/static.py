@@ -64,23 +64,7 @@ class StaticEmbeddings:
         """Embedding matrix aligned with a :class:`~repro.data.Vocabulary`.
 
         Row 0 (PAD) is zeros; row 1 (UNK) is a fixed random vector.
-        The matrix is a pure function of ``(dim, ngram_range, seed)``
-        and the vocabulary's token list, so when a persistent store is
-        active (``--store-dir``) it is served from disk across runs —
-        bit-identical, since vectors are deterministic.
         """
-        from repro import store as pstore
-
-        store = pstore.active()
-        key = None
-        if store is not None:
-            key = pstore.make_key(
-                "static_matrix", self.dim, self.ngram_range, self.seed,
-                pstore.vocab_fingerprint(vocabulary),
-            )
-            cached = store.get_array(key)
-            if cached is not None:
-                return cached
         out = np.zeros((len(vocabulary), self.dim))
         rng = np.random.default_rng(self.seed + 1)
         out[vocabulary.unk_index] = rng.normal(0, 0.1, size=self.dim)
@@ -88,8 +72,6 @@ class StaticEmbeddings:
             if idx in (vocabulary.pad_index, vocabulary.unk_index):
                 continue
             out[idx] = self.vector(vocabulary.token(idx))
-        if key is not None:
-            store.put_array(key, out)
         return out
 
     def similarity(self, a: str, b: str) -> float:

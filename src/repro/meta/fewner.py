@@ -73,34 +73,9 @@ class FewNER(Adapter):
             # θ is frozen and its gradients are never materialised here
             # (first-order, grad w.r.t. φ only), and dropout is inactive,
             # so the φ-independent encoder pass is constant across the
-            # inner steps: compute it once and replay it as a leaf.  With
-            # a persistent store active the pass is also keyed by content
-            # (θ, vocabularies, config, support text) and reused across
-            # processes and runs; a hit is bit-identical to recomputing.
-            from repro import store as pstore
-
-            # Persist only evaluation-time adaptation (θ frozen across
-            # episodes); during fit θ changes every outer step, so a
-            # stored pass would never be keyed the same twice.
-            store = pstore.active() if not was_training else None
-            base_key = None
-            if store is not None:
-                base_key = pstore.make_key(
-                    "adapt_base",
-                    pstore.model_fingerprint(self.model),
-                    pstore.vocab_fingerprint(self.word_vocab),
-                    pstore.vocab_fingerprint(self.char_vocab),
-                    repr(self.config),
-                    pstore.sentences_fingerprint(episode.support),
-                )
-                cached = store.get_array(base_key)
-                if cached is not None:
-                    base = Tensor(cached)
-            if base is None:
-                with no_grad():
-                    base = Tensor(self.model.encoder_features(batch).data)
-                if base_key is not None:
-                    store.put_array(base_key, base.data)
+            # inner steps: compute it once and replay it as a leaf.
+            with no_grad():
+                base = Tensor(self.model.encoder_features(batch).data)
         # With the cache: one miss for the encoder pass above, then one
         # hit per replaying inner step.  Without it every step recomputes
         # the encoder features — one miss per step.

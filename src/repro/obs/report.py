@@ -13,8 +13,6 @@ The report sections:
 * **executor** — retry/quarantine/error/pool-restart/refund counters
   from ``evaluate_method``'s parallel path;
 * **cache** — adaptation-cache hit rate;
-* **store** — persistent content-store traffic (hits/misses/puts) and
-  health (errors, quarantined segments, truncated tails);
 * **metrics** — the final merged counter/gauge/histogram snapshot;
 * **events** — non-span events (breaker transitions, guard anomalies,
   checkpoint activity) rendered through the one formatting path.
@@ -377,18 +375,6 @@ def build_report(records: list[dict]) -> dict:
         "evictions": counters.get("gateway.evictions", 0),
         "retry_budget_balance": gauges.get("retry_budget.balance"),
     }
-    s_hits = counters.get("store.hit", 0)
-    s_misses = counters.get("store.miss", 0)
-    store = {
-        "hits": s_hits,
-        "misses": s_misses,
-        "puts": counters.get("store.put", 0),
-        "errors": counters.get("store.errors", 0),
-        "quarantined": counters.get("store.quarantined_segments", 0),
-        "truncated_tails": counters.get("store.truncated_tails", 0),
-        "hit_rate": (round(s_hits / (s_hits + s_misses), 4)
-                     if s_hits + s_misses else None),
-    }
     traces = assemble_traces(records)
     trace_section = {
         "count": len(traces),
@@ -406,7 +392,6 @@ def build_report(records: list[dict]) -> dict:
         "phases": phases,
         "executor": executor,
         "cache": cache,
-        "store": store,
         "gateway": gateway,
         "overload": overload,
         "traces": trace_section,
@@ -509,26 +494,6 @@ def render_report(report: dict) -> str:
             f"  adaptation cache: {cache['hits']} hits / {cache['misses']} misses"
             f" (hit rate {100.0 * cache['hit_rate']:.1f}%)"
         )
-
-    store = report.get("store", {})
-    if store.get("hit_rate") is not None or store.get("errors"):
-        rate = store.get("hit_rate")
-        rate_txt = f"{100.0 * rate:.1f}%" if rate is not None else "n/a"
-        line = (
-            f"  persistent store: {store.get('hits', 0)} hits / "
-            f"{store.get('misses', 0)} misses (hit rate {rate_txt}), "
-            f"{store.get('puts', 0)} puts"
-        )
-        health = []
-        if store.get("errors"):
-            health.append(f"{store['errors']} errors")
-        if store.get("quarantined"):
-            health.append(f"{store['quarantined']} quarantined")
-        if store.get("truncated_tails"):
-            health.append(f"{store['truncated_tails']} truncated tails")
-        if health:
-            line += " — " + ", ".join(health)
-        lines.append(line)
 
     gauges = report.get("metrics", {}).get("gauges", {})
     if "tape.max_nodes_per_backward" in gauges:

@@ -15,10 +15,9 @@ Four cooperating pieces make long experiment sweeps survivable:
   append-only JSONL record of completed table cells keyed by
   ``(method, setting, k_shot)``; :func:`~repro.experiments.harness.run_adaptation`
   skips completed cells on resume and isolates per-method failures;
-* :mod:`~repro.reliability.integrity` — the shared SHA-256 digest,
-  atomic ``.sha256`` sidecar and ``*.quarantined`` rename primitives
-  that both :class:`CheckpointStore` and the persistent
-  embedding/adaptation store (:mod:`repro.store`) build on;
+* :mod:`~repro.reliability.integrity` — the SHA-256 digest, atomic
+  ``.sha256`` sidecar and ``*.quarantined`` rename primitives that
+  :class:`CheckpointStore` builds on;
 * :mod:`~repro.reliability.faults` — a deterministic, test-only
   :class:`FaultInjector` that corrupts gradients, raises mid-``fit``,
   crashes/hangs/corrupts executor workers, simulates crashes between

@@ -1127,179 +1127,6 @@ def _run_trace_determinism(seed, check):
 
 
 # ----------------------------------------------------------------------
-# Persistent-store scenarios (repro.store)
-# ----------------------------------------------------------------------
-
-@_scenario(
-    "store-corruption",
-    "persistent store warmed by evaluation, then bit-flipped on disk: "
-    "the damaged segment is quarantined, every lookup degrades to "
-    "recompute, and scores stay bit-identical to the store-off run",
-)
-def _run_store_corruption(seed, check):
-    import shutil
-    import tempfile
-
-    from repro.data.synthetic import generate_dataset
-    from repro.data.vocab import CharVocabulary, Vocabulary
-    from repro.experiments.configs import SCALES
-    from repro.meta.evaluate import (
-        build_method, evaluate_method, fixed_episodes,
-    )
-    from repro.reliability.faults import FaultInjector
-    from repro.store import ContentStore, store_session
-    from repro.store.segment import RECORD_HEADER_SIZE, SEGMENT_MAGIC
-
-    dataset = generate_dataset("OntoNotes", scale=0.02, seed=seed % 97)
-    half = len(dataset) // 2
-    train, test = dataset[:half], dataset[half:]
-    scale = SCALES["smoke"]
-    word_vocab = Vocabulary.from_datasets([train])
-    char_vocab = CharVocabulary.from_datasets([train])
-    episodes = fixed_episodes(test, scale.n_way, 1, 3, seed=5,
-                              query_size=scale.query_size)
-
-    def fresh_adapter():
-        return build_method("FewNER", word_vocab, char_vocab,
-                            scale.n_way, scale.method_config)
-
-    directory = tempfile.mkdtemp(prefix="chaos-store-")
-    try:
-        baseline = evaluate_method(fresh_adapter(), episodes, workers=0)
-        with store_session(directory) as store:
-            cold = evaluate_method(fresh_adapter(), episodes, workers=0)
-            cold_counters = dict(store.counters)
-        check("cold-run-populates-store", cold_counters["puts"] >= 2,
-              f"counters={cold_counters}")
-        check("cold-score-parity",
-              cold.episode_scores == baseline.episode_scores,
-              f"cold {cold.episode_scores} != "
-              f"store-off {baseline.episode_scores}")
-        # Flip a byte inside the *first* record's payload: interior
-        # damage, unrecoverable by truncation — the segment must be
-        # quarantined whole at next open.
-        segments = sorted(
-            os.path.join(directory, "segments", name)
-            for name in os.listdir(os.path.join(directory, "segments"))
-            if name.endswith(".seg")
-        )
-        FaultInjector.flip_byte(
-            segments[0], len(SEGMENT_MAGIC) + RECORD_HEADER_SIZE + 1
-        )
-        with store_session(directory) as store:
-            poisoned = evaluate_method(fresh_adapter(), episodes, workers=0)
-            stats = store.store.stats()
-            poisoned_counters = dict(store.counters)
-        check("poisoned-score-parity",
-              poisoned.episode_scores == baseline.episode_scores,
-              f"poisoned {poisoned.episode_scores} != "
-              f"store-off {baseline.episode_scores}")
-        check("damaged-segment-quarantined",
-              stats["quarantined_segments"] == 1
-              and len(stats["quarantined_files"]) == 1
-              and not os.path.exists(segments[0]),
-              f"stats={stats}")
-        check("no-store-error-escaped", poisoned_counters["errors"] == 0,
-              f"counters={poisoned_counters}")
-        check("store-repopulated-after-quarantine",
-              poisoned_counters["puts"] >= 2, f"counters={poisoned_counters}")
-        verify = ContentStore(directory).verify()
-        check("post-recovery-verify-clean", not verify["bad"],
-              f"verify={verify}")
-        return {
-            "f1": baseline.f1,
-            "cold": cold_counters,
-            "poisoned": poisoned_counters,
-            "quarantined": stats["quarantined_files"],
-        }
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
-
-
-@_scenario(
-    "store-crash-mid-write",
-    "writer torn mid-append while serving: requests keep being answered "
-    "bit-identically to a store-off oracle with none failed, and the "
-    "next open truncates the torn tail and serves the surviving records",
-)
-def _run_store_crash_mid_write(seed, check):
-    import shutil
-    import tempfile
-
-    import numpy as np
-
-    from repro.data.tags import TagScheme
-    from repro.data.vocab import CharVocabulary, Vocabulary
-    from repro.models.backbone import BackboneConfig, CNNBiGRUCRF
-    from repro.reliability.faults import FaultInjector
-    from repro.serving import TaggingService
-    from repro.serving.loadgen import synthetic_requests
-    from repro.store import store_session
-
-    pool = ("the", "visited", "today", "reports", "arrived",
-            "Kavox", "Zuqev", "Mirelle")
-    scheme = TagScheme(("0", "1"))
-    model = CNNBiGRUCRF(Vocabulary(pool), CharVocabulary(pool),
-                        scheme.num_tags, BackboneConfig(),
-                        np.random.default_rng(seed), tag_names=scheme.tags)
-    requests = synthetic_requests(16, seed=seed, pool=pool)
-    oracle = [TaggingService(model, scheme).tag(list(toks))
-              for toks in requests]
-
-    def serve_all():
-        service = TaggingService(model, scheme)
-        answers = [service.tag(list(toks)) for toks in requests]
-        return service, answers
-
-    def parity(answers):
-        return [
-            i for i, (got, want) in enumerate(zip(answers, oracle))
-            if not got.ok or got.degraded or got.spans != want.spans
-        ]
-
-    directory = tempfile.mkdtemp(prefix="chaos-store-")
-    try:
-        injector = FaultInjector(store_torn_write_at=(2,))
-        with store_session(directory, fault_injector=injector,
-                           max_errors=4) as store:
-            _svc, crashed = serve_all()
-            crashed_counters = dict(store.counters)
-            disabled = store.disabled
-        check("writer-crash-actually-injected",
-              crashed_counters["errors"] >= 1, f"counters={crashed_counters}")
-        check("crashed-run-answers-bit-identical", not parity(crashed),
-              f"mismatched requests {parity(crashed)[:5]}")
-        check("faulting-store-disables-itself", disabled,
-              f"errors={crashed_counters['errors']} never hit max_errors")
-        with store_session(directory) as store:
-            svc, warm = serve_all()
-            warm_counters = dict(store.counters)
-            recovery = dict(store.store.counters)
-            stats = store.store.stats()
-        check("torn-tail-truncated-on-reopen",
-              recovery["truncated_tails"] == 1
-              and recovery["quarantined_segments"] == 0,
-              f"recovery={recovery}")
-        check("surviving-records-served",
-              warm_counters["hits"] >= 1 and svc.stats["store_hits"] >= 1,
-              f"counters={warm_counters} stats={svc.stats}")
-        check("warm-run-answers-bit-identical", not parity(warm),
-              f"mismatched requests {parity(warm)[:5]}")
-        check("store-writable-after-recovery",
-              warm_counters["puts"] >= 1 and warm_counters["errors"] == 0,
-              f"counters={warm_counters}")
-        return {
-            "requests": len(requests),
-            "crashed": crashed_counters,
-            "warm": warm_counters,
-            "recovery": recovery,
-            "records": stats["records"],
-        }
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
-
-
-# ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
 

@@ -44,8 +44,7 @@ def verify_checksum(path: str) -> None:
     written before the sidecar existed (or whose sidecar write was cut
     short by a crash) still load; the archive-level damage checks in
     :meth:`TrainingCheckpoint.load` remain the floor.  The heavy lifting
-    lives in :mod:`repro.reliability.integrity`, which the persistent
-    store (:mod:`repro.store`) shares.
+    lives in :mod:`repro.reliability.integrity`.
     """
     verify_checksum_sidecar(path, error=CheckpointError, kind="checkpoint")
 

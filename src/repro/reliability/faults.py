@@ -20,12 +20,7 @@ Production code never imports this module; tests hand a
   scheduling;
 * :class:`~repro.serving.TaggingService` consults
   :meth:`FaultInjector.before_batch` once per micro-batch, simulating a
-  whole-batch encode failure;
-* the persistent store (:class:`repro.store.ContentStore`) consults
-  :meth:`FaultInjector.store_append_fault` before each record append
-  (torn write, ENOSPC) and :meth:`FaultInjector.store_lock_blocked` at
-  open (writer-lock contention); :meth:`FaultInjector.flip_byte`
-  corrupts a segment on disk the way failing media would.
+  whole-batch encode failure.
 
 Two exception types keep fault semantics honest: :class:`InjectedFault`
 is an ordinary ``RuntimeError`` that recovery code is *supposed* to
@@ -64,9 +59,7 @@ class FaultInjector:
                  worker_crash_at=(), worker_hang_at=(), worker_corrupt_at=(),
                  worker_raise_at=(), worker_crash_p=0.0, worker_hang_p=0.0,
                  worker_seed=0, worker_fault_attempts=(0,),
-                 worker_hang_s=30.0,
-                 store_torn_write_at=(), store_enospc_at=(),
-                 store_lock_contention=False):
+                 worker_hang_s=30.0):
         self.nan_grad_at = frozenset(int(i) for i in nan_grad_at)
         self.raise_at = frozenset(int(i) for i in raise_at)
         #: Raise once the injector has been consulted this many times in
@@ -110,20 +103,6 @@ class FaultInjector:
         #: How long a hung worker sleeps (real seconds); the supervisor
         #: should detect the hang via its task deadline long before this.
         self.worker_hang_s = float(worker_hang_s)
-        # -- persistent-store faults (see store_append_fault) ----------
-        #: Append indices (per store instance) where the writer "dies"
-        #: mid-record: half the record reaches disk and the store handle
-        #: is poisoned, exactly what a SIGKILL mid-``write`` leaves.
-        self.store_torn_write_at = frozenset(
-            int(i) for i in store_torn_write_at
-        )
-        #: Append indices that fail with a full disk *before* any byte
-        #: lands (the clean ENOSPC boundary).
-        self.store_enospc_at = frozenset(int(i) for i in store_enospc_at)
-        #: When true, the writer lock is reported as held by someone
-        #: else, forcing the read-only degradation path.
-        self.store_lock_contention = bool(store_lock_contention)
-
     # ------------------------------------------------------------------
     # GuardedStep hook
     # ------------------------------------------------------------------
@@ -295,32 +274,6 @@ class FaultInjector:
         return hook
 
     # ------------------------------------------------------------------
-    # Persistent-store hooks (repro.store)
-    # ------------------------------------------------------------------
-    def store_append_fault(self, index: int) -> str | None:
-        """Fault verdict for the ``index``-th append of a store instance.
-
-        Consulted by :meth:`repro.store.ContentStore.put` before each
-        record write: ``"torn"`` tears the record in half and poisons
-        the writer (simulated crash mid-append), ``"enospc"`` fails
-        cleanly before any byte lands, ``None`` lets the append through.
-        """
-        if index in self.store_torn_write_at:
-            return "torn"
-        if index in self.store_enospc_at:
-            return "enospc"
-        return None
-
-    def store_lock_blocked(self) -> bool:
-        """Whether the store writer lock should appear already held.
-
-        Consulted once at :class:`~repro.store.ContentStore` open; a
-        ``True`` forces the read-only-fallback degradation path without
-        needing a second live process.
-        """
-        return self.store_lock_contention
-
-    # ------------------------------------------------------------------
     # Filesystem faults
     # ------------------------------------------------------------------
     @staticmethod
@@ -329,22 +282,3 @@ class FaultInjector:
         size = os.path.getsize(path)
         with open(path, "r+b") as fh:
             fh.truncate(min(keep_bytes, max(size - 1, 0)))
-
-    @staticmethod
-    def flip_byte(path: str, offset: int) -> None:
-        """XOR one byte of ``path`` in place — silent media corruption.
-
-        A negative ``offset`` counts from the end of the file, like a
-        Python index.
-        """
-        size = os.path.getsize(path)
-        if size == 0:
-            return
-        if offset < 0:
-            offset += size
-        offset = min(max(offset, 0), size - 1)
-        with open(path, "r+b") as fh:
-            fh.seek(offset)
-            byte = fh.read(1)
-            fh.seek(offset)
-            fh.write(bytes([byte[0] ^ 0xFF]))

@@ -1,9 +1,7 @@
-"""Shared file-integrity primitives: SHA-256, sidecars, quarantine.
+"""File-integrity primitives: SHA-256, sidecars, quarantine.
 
-Every durable artifact in the runtime — training checkpoints
-(:mod:`repro.reliability.checkpoint`) and the persistent
-embedding/adaptation store (:mod:`repro.store`) — protects itself the
-same way:
+Training checkpoints (:mod:`repro.reliability.checkpoint`), the
+runtime's durable artifacts, protect themselves this way:
 
 * a **content digest** (:func:`file_sha256` / :func:`bytes_sha256`)
   proves the bytes read are the bytes written;
@@ -16,8 +14,7 @@ same way:
   bytes stay on disk for post-mortems.
 
 These helpers raise only through the caller-supplied error class, so
-checkpoints keep raising :class:`~repro.nn.serialization.CheckpointError`
-and the store keeps raising its own :class:`~repro.store.StoreError`.
+checkpoints keep raising :class:`~repro.nn.serialization.CheckpointError`.
 """
 
 from __future__ import annotations

@@ -54,7 +54,6 @@ from repro.serving.loadgen import SLOReport, run_load, synthetic_requests
 from repro.serving.overload import (
     BATCH,
     INTERACTIVE,
-    MODE_CACHED,
     MODE_FULL,
     MODE_GREEDY,
     MODE_SHED,
@@ -129,7 +128,6 @@ __all__ = [
     "MODES",
     "MODE_FULL",
     "MODE_GREEDY",
-    "MODE_CACHED",
     "MODE_SHED",
     "mode_for",
     "parse_priority_mix",

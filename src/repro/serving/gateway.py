@@ -215,10 +215,6 @@ class GatewayReport:
     #: Highest number of simultaneously draining replicas ever seen
     #: (rolling reload must keep this at 1).
     max_concurrent_draining: int = 0
-    #: Persistent content-store traffic seen by this process (empty
-    #: when no ``--store-dir`` session is active; forked replicas
-    #: count store hits in their own telemetry streams).
-    store: dict = field(default_factory=dict)
     #: Per-priority queue-wait quantiles (admission → first dispatch),
     #: filled at shutdown: ``{priority: {count, p50_ms, p95_ms, p99_ms}}``.
     queue_wait: dict = field(default_factory=dict)
@@ -445,7 +441,6 @@ class ShardedGateway:
         if self._closed:
             return
         self._closed = True
-        self.report.store = self._store_snapshot()
         self.report.overload = self._overload_snapshot()
         self.report.queue_wait = self._queue_wait_stats()
         for shard in self._shards:
@@ -495,13 +490,6 @@ class ShardedGateway:
         if ladders:
             snap["ladders"] = ladders
         return snap
-
-    @staticmethod
-    def _store_snapshot() -> dict:
-        from repro import store as pstore
-
-        active = pstore.active()
-        return active.snapshot() if active is not None else {}
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -1195,7 +1183,6 @@ class ShardedGateway:
             "healthy": healthy,
             "reloading": self.reloading,
             "outstanding": self.outstanding,
-            "store": self._store_snapshot(),
             "queue_wait": self._queue_wait_stats(),
             "per_replica": statuses,
         }

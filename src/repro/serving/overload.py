@@ -18,8 +18,8 @@ Four cooperating mechanisms, all deterministic and clock-injectable:
 - **Brownout ladder** (:class:`BrownoutLadder`) — a single pressure
   level driven by a hysteresis controller on the deadline-miss rate.
   Each priority class maps the level to a serving mode: full Viterbi →
-  greedy → store-cached-only → shed.  Batch degrades first, interactive
-  last; recovery steps down one level per clean interval streak.
+  greedy → shed.  Batch degrades first, interactive last; recovery steps
+  down one level per clean interval streak.
 
 Everything in this module is pure bookkeeping over an injected
 monotonic clock — no threads, no wall-clock reads — so overload
@@ -113,17 +113,20 @@ def assign_priorities(n: int, mix: Dict[str, float], seed: int = 0) -> List[str]
 
 MODE_FULL = "full"
 MODE_GREEDY = "greedy"
-MODE_CACHED = "cached"
 MODE_SHED = "shed"
 
 #: Serving modes from best fidelity to none.
-MODES = (MODE_FULL, MODE_GREEDY, MODE_CACHED, MODE_SHED)
+MODES = (MODE_FULL, MODE_GREEDY, MODE_SHED)
 
 #: Ladder steps between adjacent priority classes: batch reaches ``shed``
-#: before standard leaves ``full``.
-STEPS_PER_CLASS = len(MODES) - 1
+#: before standard leaves ``full``.  A class is shed from its second step
+#: on, so this is one more than ``len(MODES) - 1``: the spare step keeps
+#: ``MAX_PRESSURE`` at 9, which fixes how many miss-rate windows the
+#: ladder takes to escalate and to recover (the ``overload-storm`` chaos
+#: scenario depends on that timing).
+STEPS_PER_CLASS = 3
 
-#: Pressure at which even interactive traffic is shed.
+#: Highest ladder level (9); interactive traffic is shed from level 8.
 MAX_PRESSURE = STEPS_PER_CLASS * len(PRIORITIES)
 
 

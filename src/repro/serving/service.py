@@ -54,7 +54,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serving.breaker import OPEN, CircuitBreaker
 from repro.serving.deadline import Clock, Deadline
 from repro.serving.overload import (
-    MODE_CACHED,
     MODE_FULL,
     MODE_GREEDY,
     MODE_SHED,
@@ -242,7 +241,7 @@ class TaggingService:
         self._next_ticket = 0
         self.stats = {
             "served": 0, "degraded": 0, "invalid": 0, "shed": 0,
-            "decode_errors": 0, "batches": 0, "store_hits": 0, "expired": 0,
+            "decode_errors": 0, "batches": 0, "expired": 0,
         }
         if self.config.overload is not None:
             self.ladder = BrownoutLadder(
@@ -261,10 +260,6 @@ class TaggingService:
         #: Per-instance metrics (two services never share counters); the
         #: active telemetry session, when any, gets mirrored updates.
         self.metrics = MetricsRegistry()
-        #: Lazily-computed identity of what this service decodes with
-        #: (θ, φ, scheme) — the prefix of every persistent-store key.
-        #: Serving never mutates θ/φ, so computing it once is safe.
-        self._serve_fp: tuple | None = None
 
     def _bump(self, name: str, n: int = 1) -> None:
         self.stats[name] += n
@@ -585,69 +580,9 @@ class TaggingService:
         if self._injector is not None:
             self._injector.before_decode()
 
-    # ------------------------------------------------------------------
-    # Persistent decoded-path cache (repro.store)
-    # ------------------------------------------------------------------
-    def _store_key(self, store, tokens: tuple[str, ...]):
-        """Persistent-store key for one request, or ``None``.
-
-        Keys cover everything the decoded path depends on — θ, φ, the
-        tag scheme, and the sanitized tokens — so a hit is bit-identical
-        to a full-fidelity Viterbi decode of the same request.  Models
-        without a ``state_dict`` (no fingerprintable θ) opt out.
-        """
-        from repro import store as pstore
-
-        if self._serve_fp is None:
-            if getattr(self.model, "state_dict", None) is None:
-                self._serve_fp = ()
-            else:
-                import hashlib
-
-                import numpy as np
-
-                phi = self.phi
-                if phi is None:
-                    phi_fp = "none"
-                else:
-                    data = np.ascontiguousarray(getattr(phi, "data", phi))
-                    phi_fp = hashlib.sha256(data.tobytes()).hexdigest()
-                self._serve_fp = (
-                    pstore.model_fingerprint(self.model), phi_fp,
-                    "|".join(self.scheme.tags),
-                )
-        if not self._serve_fp:
-            return None
-        return pstore.make_key("serve_path", *self._serve_fp, *tokens)
-
-    def _store_probe(self, batch: list[_Pending]):
-        """Look each request up in the active store: ``(hits, keys)``.
-
-        ``hits`` maps ticket → cached decoded path (tag-id list from an
-        earlier full-fidelity decode); ``keys`` maps ticket → store key
-        so misses can be written back after decoding.  Store faults
-        degrade to empty maps (ArrayStore never raises).
-        """
-        from repro import store as pstore
-
-        store = pstore.active()
-        hits: dict[int, list[int]] = {}
-        keys: dict[int, bytes] = {}
-        if store is None:
-            return hits, keys
-        for p in batch:
-            key = self._store_key(store, p.sentence.tokens)
-            if key is None:
-                return {}, {}
-            keys[p.key] = key
-            path = store.get_json(key)
-            if path is not None:
-                hits[p.key] = path
-        return hits, keys
-
     def _trace_served(self, p: _Pending, wait_ms: float, status: str,
-                      degraded: bool = False, decode_ms: float | None = None,
-                      cached: bool = False) -> None:
+                      degraded: bool = False,
+                      decode_ms: float | None = None) -> None:
         """Emit the service-side decode+respond hops for one request."""
         if p.trace is None:
             return
@@ -655,8 +590,6 @@ class TaggingService:
                   "wait_ms": round(wait_ms, 3), "status": status}
         if decode_ms is not None:
             fields["decode_ms"] = round(decode_ms, 3)
-        if cached:
-            fields["cached"] = True
         if degraded:
             fields["degraded"] = True
         reqtrace.hop(p.trace, "decode", **fields)
@@ -686,40 +619,6 @@ class TaggingService:
                            f"brownout: {p.priority} traffic shed at level "
                            f"{self.ladder.pressure}", wait_ms=waits[p.key],
                            trace=p.trace)
-            return
-        hits, store_keys = self._store_probe(batch)
-        if hits:
-            # Serve cached full-fidelity paths without decoding; the
-            # breaker is untouched — a hit is evidence about the store,
-            # not about Viterbi health.
-            for p in batch:
-                if p.key not in hits:
-                    continue
-                self._bump("served")
-                self._bump("store_hits")
-                spans = tuple(
-                    (start, end, label)
-                    for start, end, label in self.scheme.decode(hits[p.key])
-                )
-                self._done[p.key] = TagResult(
-                    p.sentence.tokens, spans,
-                    oov_rate=self._oov_rate(p.sentence.tokens),
-                    modified=p.modified, queue_wait_ms=waits[p.key],
-                )
-                self._trace_served(p, waits[p.key], "ok", cached=True)
-                if self.ladder is not None:
-                    self.ladder.observe(False)
-            batch = [p for p in batch if p.key not in hits]
-            if not batch:
-                return
-        if mode == MODE_CACHED:
-            # Cached-only brownout: anything the store cannot answer is
-            # shed rather than spending decode budget under pressure.
-            for p in batch:
-                self._shed(p.key, p.priority,
-                           f"brownout: cached-only at level "
-                           f"{self.ladder.pressure}; no stored path",
-                           wait_ms=waits[p.key], trace=p.trace)
             return
         sentences = [p.sentence for p in batch]
         try:
@@ -764,20 +663,9 @@ class TaggingService:
         decode_ms = (self.clock() - decode_started) * 1000.0
         self._observe_ms("serving.decode_ms", decode_ms)
         self._bump("batches")
-        store = None
-        if store_keys:
-            from repro import store as pstore
-
-            store = pstore.active()
         for p, path, status in zip(batch, paths, statuses):
             if status == FULL:
                 self.breaker.record_success()
-                if store is not None:
-                    # Only full-fidelity Viterbi paths are cached, so a
-                    # future hit never replays a degraded answer.
-                    store.put_json(
-                        store_keys[p.key], [int(t) for t in path]
-                    )
             elif status in FAILURE_STATUSES:
                 self.breaker.record_failure()
                 if status == DEGRADED_ERROR:

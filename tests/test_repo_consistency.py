@@ -69,6 +69,47 @@ class TestDocsMatchCode:
         assert f'version = "{repro.__version__}"' in pyproject
 
 
+class TestNoDanglingReferences:
+    """Links and ``make`` targets named in the docs still exist."""
+
+    DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "CONTRIBUTING.md")
+
+    #: A markdown link or image target: ``[text](target)``.
+    LINK = re.compile(r"!?\[[^\]]*\]\(([^()\s]+)\)")
+    #: ``make TARGET`` inside inline code or at the start of a code line
+    #: (prose such as "make the cache" is never in code).
+    MAKE = re.compile(r"(?:`|^\s*(?:run:\s*)?)make ([A-Za-z][\w-]*)",
+                      re.MULTILINE)
+
+    def _docs(self):
+        paths = [ROOT / name for name in self.DOCS]
+        return paths + sorted((ROOT / "docs").glob("*.md"))
+
+    def test_relative_markdown_links_resolve(self):
+        dangling = []
+        for path in self._docs():
+            for target in self.LINK.findall(path.read_text()):
+                if re.match(r"[a-z][a-z0-9+.-]*:|#", target):
+                    continue  # external URL or in-page anchor
+                resolved = path.parent / target.split("#", 1)[0]
+                if not resolved.exists():
+                    dangling.append(f"{path.relative_to(ROOT)}: {target}")
+        assert not dangling, dangling
+
+    def test_named_make_targets_exist(self):
+        makefile = (ROOT / "Makefile").read_text()
+        targets = set(re.findall(r"^([\w-]+):", makefile, re.MULTILINE))
+        sources = self._docs() + [ROOT / ".github" / "workflows" / "ci.yml"]
+        named = {
+            (str(path.relative_to(ROOT)), target)
+            for path in sources
+            for target in self.MAKE.findall(path.read_text())
+        }
+        assert named, "no make targets found; the pattern has drifted"
+        missing = sorted(pair for pair in named if pair[1] not in targets)
+        assert not missing, missing
+
+
 class TestCiInstallsWhatTestsImport:
     """A clean CI runner has only what the workflow's pip step installs."""
 

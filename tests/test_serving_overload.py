@@ -9,7 +9,6 @@ from repro.serving.overload import (
     BATCH,
     INTERACTIVE,
     MAX_PRESSURE,
-    MODE_CACHED,
     MODE_FULL,
     MODE_GREEDY,
     MODE_SHED,
@@ -91,7 +90,7 @@ class TestModeLadder:
         assert mode_for(6, STANDARD) == MODE_SHED
         assert mode_for(6, INTERACTIVE) == MODE_FULL
         assert mode_for(7, INTERACTIVE) == MODE_GREEDY
-        assert mode_for(8, INTERACTIVE) == MODE_CACHED
+        assert mode_for(8, INTERACTIVE) == MODE_SHED
         assert mode_for(MAX_PRESSURE, INTERACTIVE) == MODE_SHED
 
     def test_pressure_clamps_at_extremes(self):
@@ -99,8 +98,28 @@ class TestModeLadder:
         assert mode_for(-5, BATCH) == MODE_FULL
 
     def test_modes_ordered_best_to_none(self):
-        assert MODES == (MODE_FULL, MODE_GREEDY, MODE_CACHED, MODE_SHED)
-        assert MAX_PRESSURE == (len(MODES) - 1) * len(PRIORITIES)
+        assert MODES == (MODE_FULL, MODE_GREEDY, MODE_SHED)
+        # Three steps per class, one of them spare after greedy, keep
+        # the ladder nine levels long.
+        assert MAX_PRESSURE == 9
+
+    #: Mode per pressure level 0..9 for (interactive, standard, batch):
+    #: F = full, G = greedy, S = shed.  Each class is shed from its
+    #: second step on.
+    LADDER = {
+        INTERACTIVE: "FFFFFFFGSS",
+        STANDARD: "FFFFGSSSSS",
+        BATCH: "FGSSSSSSSS",
+    }
+
+    def test_every_pressure_priority_pair(self):
+        letter = {MODE_FULL: "F", MODE_GREEDY: "G", MODE_SHED: "S"}
+        got = {
+            name: "".join(letter[mode_for(pressure, name)]
+                          for pressure in range(MAX_PRESSURE + 1))
+            for name in PRIORITIES
+        }
+        assert got == self.LADDER
 
 
 class TestOverloadConfig:

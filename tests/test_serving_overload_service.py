@@ -19,7 +19,6 @@ from repro.serving import (
     TagResult,
 )
 from repro.serving.overload import BATCH, INTERACTIVE, STANDARD
-from repro.store import store_session
 
 TOKENS = ["the", "Kavox", "visited", "Zuqev", "today", "reports", "arrived"]
 
@@ -151,26 +150,12 @@ class TestBrownoutModes:
         assert result.spans == baseline.tag(
             ["Kavox", "visited", "Zuqev"]).spans
 
-    def test_cached_only_sheds_on_store_miss(self, model, scheme):
+    def test_standard_traffic_shed_at_pressure_5(self, model, scheme):
         service = make_service(model, scheme)
-        service.ladder.pressure = 5        # standard -> cached
+        service.ladder.pressure = 5        # standard -> shed
         result = service.tag(["the"], priority=STANDARD)
         assert isinstance(result, Overloaded)
-        assert "cached-only" in result.reason
-
-    def test_cached_only_serves_warmed_store_entries(self, model, scheme,
-                                                     tmp_path):
-        with store_session(str(tmp_path)):
-            service = make_service(model, scheme)
-            warm = service.tag(["Kavox", "visited"], priority=STANDARD)
-            assert warm.ok and not warm.degraded
-            service.ladder.pressure = 5    # standard -> cached
-            hit = service.tag(["Kavox", "visited"], priority=STANDARD)
-            miss = service.tag(["Zuqev", "today"], priority=STANDARD)
-        assert isinstance(hit, TagResult) and hit.ok and not hit.degraded
-        assert hit.spans == warm.spans
-        assert isinstance(miss, Overloaded)
-        assert service.stats["store_hits"] == 1
+        assert "brownout" in result.reason and "level 5" in result.reason
 
     def test_priority_order_processed_highest_first(self, model, scheme):
         served = []
