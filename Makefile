@@ -24,7 +24,8 @@ verify-golden:
 	    tests/test_golden_eval.py \
 	    tests/test_golden_serving.py \
 	    tests/test_perf_fused_checkpoints.py \
-	    tests/test_perf_inner_loop.py -q
+	    tests/test_perf_inner_loop.py \
+	    tests/test_perf_shared_pass.py -q
 
 verify-executor:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_perf_executor.py \

@@ -136,11 +136,12 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
       :class:`repro.perf.EpisodeExecutor`; both produce the same
       scores).  All episodes go to one
       :meth:`~repro.perf.EpisodeExecutor.run` call, so ``workers=N``
-      forks one pool per evaluation.  Under a budget, an episode at or
-      past ``min_episodes`` whose first attempt would start after the
-      deadline is skipped, retries of episodes that already started
-      still run, and the scores are those of the completed prefix of
-      ``episodes`` — the same rule for every worker count.
+      forks at most N workers per evaluation.  Under a budget, an
+      episode at or past ``min_episodes`` whose first attempt would
+      start after the deadline is skipped, retries of episodes that
+      already started still run, and the scores are those of the
+      completed prefix of ``episodes`` — the same rule for every
+      worker count.
 
     ``fast`` wraps each adaptation in the fused CRF NLL fast path
     (:func:`repro.perf.fastpath.fastpath`).  That path is on by default
@@ -148,7 +149,7 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
     it stays for the callers that pass it.
 
     With ``workers >= 1`` the run is *self-healing*: episodes execute
-    under the supervised pool with per-task deadlines
+    under supervised forked workers with per-task deadlines
     (``task_timeout_s``), up to ``max_attempts`` deterministic retries
     per episode (re-seeding makes a retry bit-identical to the first
     attempt), score validation, and poison-episode quarantine.  An
@@ -202,8 +203,8 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
             truncated=truncated,
         )
 
-    # Supervised episode-parallel discipline (workers >= 1): one pool
-    # for all episodes, with the deadline applied where they dispatch.
+    # Supervised episode-parallel discipline (workers >= 1): one set of
+    # workers for all episodes, with the deadline applied at dispatch.
     executor = EpisodeExecutor(
         workers=workers, task_timeout_s=task_timeout_s,
         max_attempts=max_attempts, fault_injector=fault_injector,
@@ -245,7 +246,6 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
         obs.count("executor.quarantined", len(execution.quarantined_indices))
         obs.count("executor.errors", len(failed))
         obs.count("executor.pool_restarts", execution.pool_restarts)
-        obs.count("executor.refunds", execution.refunds)
         if not execution.clean:
             obs.emit("execution", method=adapter.name, **execution.summary())
     return EvaluationResult(

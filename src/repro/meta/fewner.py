@@ -22,6 +22,8 @@ from repro.autodiff.tensor import Tensor, grad, no_grad
 from repro.data.episodes import Episode, EpisodeSampler
 from repro.eval.metrics import SpanTuple
 from repro.meta.base import Adapter, MethodConfig, make_backbone
+from repro.models.batch import Batch, encode_tags
+from repro.models.decoding import reject_empty
 from repro.nn import Adam, ExponentialDecay, SGD
 
 
@@ -52,13 +54,24 @@ class FewNER(Adapter):
 
     # ------------------------------------------------------------------
     def _inner_adapt(self, episode: Episode, steps: int,
-                     create_graph: bool) -> Tensor:
-        """Run the inner loop on the support set; returns adapted φ_k."""
+                     create_graph: bool,
+                     support: tuple[Batch, Tensor] | None = None) -> Tensor:
+        """Run the inner loop on the support set; returns adapted φ_k.
+
+        ``support`` is the support set's already encoded ``(batch,
+        base)``, with ``base`` its frozen encoder features; without it
+        the support set is encoded here.
+        """
         from repro import obs
         from repro.perf.fastpath import fastpath, fused_nll_enabled
 
-        with obs.span("encode"):
-            batch = self.model.encode(list(episode.support), episode.scheme)
+        base = None
+        if support is not None:
+            batch, base = support
+        else:
+            with obs.span("encode"):
+                batch = self.model.encode(list(episode.support),
+                                          episode.scheme)
         phi = self.model.new_context()
         alpha = Tensor(np.array(self.config.inner_lr))
         was_training = self.model.training
@@ -68,8 +81,7 @@ class FewNER(Adapter):
             self.model.token_ce_loss if self.config.inner_loss == "ce"
             else self.model.loss
         )
-        base = None
-        if not create_graph and not self.model.training:
+        if base is None and not create_graph and not self.model.training:
             # θ is frozen and its gradients are never materialised here
             # (first-order, grad w.r.t. φ only), and dropout is inactive,
             # so the φ-independent encoder pass is constant across the
@@ -169,18 +181,51 @@ class FewNER(Adapter):
 
     # ------------------------------------------------------------------
     def predict_episode(self, episode: Episode) -> list[list[SpanTuple]]:
-        """Algorithm 1, adapting procedure: θ fixed, φ learned."""
+        """Algorithm 1, adapting procedure: θ fixed, φ learned.
+
+        The frozen-θ encoder never sees φ, so support and query go
+        through it in one pass when :meth:`_one_pass` allows; its rows
+        are sliced back to each set's own width, byte-equal to separate
+        passes.  Query gold spans are not read.
+        """
         from repro import obs
 
         self._check_episode(episode)
         self.model.eval()
-        phi = self._inner_adapt(
-            episode, self.config.inner_steps_test, create_graph=False
-        )
+        steps = self.config.inner_steps_test
+        scheme = episode.scheme
+        support, query = list(episode.support), list(episode.query)
+        if not self._one_pass(support, query):
+            phi = self._inner_adapt(episode, steps, create_graph=False)
+            with obs.span("decode"), no_grad():
+                return self.model.predict_spans(query, scheme,
+                                                phi=phi.detach())
+        reject_empty(query)
+        n = len(support)
+        with obs.span("encode"):
+            batch = self.model.encode(support + query)
+            s_batch = batch.rows(0, n, encode_tags(support, scheme))
+            q_batch = batch.rows(n, batch.size)
+        with no_grad():
+            base = self.model.encoder_features(batch).data
+        s_base = Tensor(np.ascontiguousarray(base[:n, :s_batch.mask.shape[1]]))
+        q_base = Tensor(np.ascontiguousarray(base[n:, :q_batch.mask.shape[1]]))
+        phi = self._inner_adapt(episode, steps, create_graph=False,
+                                support=(s_batch, s_base))
         with obs.span("decode"), no_grad():
-            return self.model.predict_spans(
-                list(episode.query), episode.scheme, phi=phi.detach()
-            )
+            scores = self.model.emission_scores(q_batch, phi.detach(),
+                                                base=q_base).data
+            tags = self.model.crf.viterbi_decode_batch(scores, q_batch.mask)
+            return [scheme.decode(tag_ids) for tag_ids in tags]
+
+    def _one_pass(self, support, query) -> bool:
+        """Whether one encoder pass over ``support + query`` gives each
+        set the bytes of a pass of its own.  A transformer row depends on
+        its batch; a recurrent one does not, but BLAS runs a one-sentence
+        or one-token-wide product as a matrix-vector call."""
+        return (self.model.config.encoder in ("bigru", "bilstm")
+                and len(support) > 1 and len(query) > 1
+                and max(map(len, support)) > 1 and max(map(len, query)) > 1)
 
     def adapt_context(self, episode: Episode, steps: int | None = None) -> Tensor:
         """Public access to the adapted φ (used by analyses/examples)."""

@@ -30,6 +30,25 @@ class Batch:
     def size(self) -> int:
         return self.word_ids.shape[0]
 
+    def rows(self, start: int, stop: int, tag_ids=None) -> "Batch":
+        """Rows ``[start, stop)`` cut to their own longest sentence, with
+        ``tag_ids`` for them (``None`` = no gold tags)."""
+        cut = (slice(start, stop), slice(0, max(self.lengths[start:stop])))
+        return Batch(self.word_ids[cut], self.char_ids[cut], self.mask[cut],
+                     self.lengths[start:stop], tag_ids)
+
+
+def encode_tags(sentences: list[Sentence],
+                scheme: TagScheme) -> tuple[np.ndarray, ...]:
+    """Per-sentence gold tag ids under ``scheme``."""
+    return tuple(
+        np.asarray(
+            scheme.encode([sp.as_tuple() for sp in sent.spans], len(sent)),
+            dtype=np.intp,
+        )
+        for sent in sentences
+    )
+
 
 def encode_batch(
     sentences: list[Sentence],
@@ -58,13 +77,5 @@ def encode_batch(
     word_ids[real] = word_vocab.encode(tokens)
     char_ids = np.zeros((batch, max_len, max_chars), dtype=np.intp)
     char_ids[real] = char_vocab.encode_sentence(tokens, max_chars)
-    tags = None
-    if scheme is not None:
-        tags = tuple(
-            np.asarray(
-                scheme.encode([sp.as_tuple() for sp in sent.spans], len(sent)),
-                dtype=np.intp,
-            )
-            for sent in sentences
-        )
+    tags = None if scheme is None else encode_tags(sentences, scheme)
     return Batch(word_ids, char_ids, mask, lengths, tags)

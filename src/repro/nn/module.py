@@ -89,8 +89,12 @@ class Module:
     # Train / eval mode
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        for _name, mod in self.named_modules():
+        # A plain walk: no name strings, no generator chain.
+        stack = [self]
+        while stack:
+            mod = stack.pop()
             object.__setattr__(mod, "training", mode)
+            stack.extend(object.__getattribute__(mod, "_modules").values())
         return self
 
     def eval(self) -> "Module":

@@ -159,8 +159,7 @@ def _render_event(record: dict) -> str:
             where += f"/{record['k_shot']}-shot"
         return (f"self-healing: {where} — retried {n('retried')}, "
                 f"quarantined {n('quarantined')}, errors {n('errors')}, "
-                f"pool restarts {n('pool_restarts')}, "
-                f"refunds {n('refunds')}")
+                f"pool restarts {n('pool_restarts')}")
     if name == "breaker":
         return (f"breaker: {record.get('old', '?')} -> {record.get('new', '?')}"
                 f" (failures {record.get('failures', 0)}, trips {record.get('trips', 0)})")

@@ -347,7 +347,6 @@ def build_report(records: list[dict]) -> dict:
         "quarantined": counters.get("executor.quarantined", 0),
         "errors": counters.get("executor.errors", 0),
         "pool_restarts": counters.get("executor.pool_restarts", 0),
-        "refunds": counters.get("executor.refunds", 0),
     }
     hits = counters.get("adaptation_cache.hit", 0)
     misses = counters.get("adaptation_cache.miss", 0)
@@ -457,7 +456,7 @@ def render_report(report: dict) -> str:
         lines.append(
             "  executor: {episodes} episodes — retried {retried}, "
             "quarantined {quarantined}, errors {errors}, "
-            "pool restarts {pool_restarts}, refunds {refunds}".format(**executor)
+            "pool restarts {pool_restarts}".format(**executor)
         )
 
     gateway = report.get("gateway", {})

@@ -1,8 +1,8 @@
 """Self-healing process-based episode-parallel execution.
 
 :class:`EpisodeExecutor` fans independent work items (adaptation
-episodes, benchmark repetitions, table cells) across a supervised pool
-of forked worker processes.  Design constraints, in order:
+episodes, benchmark repetitions, table cells) across supervised forked
+worker processes.  Design constraints, in order:
 
 * **Determinism** — results are returned in submission order, and the
   caller's work function receives the item *index* so it can derive a
@@ -12,21 +12,17 @@ of forked worker processes.  Design constraints, in order:
   (the ``(seed, 7919, index)`` discipline of
   :func:`repro.meta.evaluate.evaluate_method`), a retry is bit-identical
   to the first attempt.
-* **Fork safety** — the payload (work function + items) is published in
-  a lock-guarded module-level slot *before* the pool forks, so workers
-  inherit it by copy-on-write and nothing but integer indices and
-  results crosses the pipe.  Closures, adapters and models therefore
-  never need to be picklable.
-* **Supervision** — tasks are submitted with ``apply_async`` and
-  supervised with bounded waits instead of a blocking ``pool.map``; a
-  completion callback ends the wait at once.  Workers
-  announce each task on a control queue, so the supervisor knows which
-  index every worker pid is running; a crashed worker (abnormal
-  exitcode among the pool's processes) or a hung worker (task past its
-  ``task_timeout_s`` deadline) costs only that task a retry, never the
-  whole run.  A hang additionally rebuilds the pool (the hung worker
-  would otherwise keep its slot forever); in-flight innocents are
-  requeued without being charged an attempt.
+* **Fork safety** — each worker is a forked
+  :class:`multiprocessing.Process` that inherits the work function and
+  the items by copy-on-write, so nothing but ``(index, attempt,
+  skip_after)`` tasks and their replies crosses its pipe.  Closures,
+  adapters and models therefore never need to be picklable.
+* **Supervision** — the supervisor sends a task to an idle worker and
+  blocks on the busy pipes and the process sentinels until the earliest
+  task deadline.  It knows which index each worker runs, so a crash
+  costs exactly that index one attempt, and a hung worker (task past
+  ``task_timeout_s``) is killed and replaced alone; the others keep
+  running.  No worker outlives :meth:`EpisodeExecutor.run`.
 * **Quarantine** — an index that fails ``max_attempts`` parallel
   attempts is poison-quarantined: after the parallel phase it is run
   once serially under guard in the supervisor process.  If it *still*
@@ -44,8 +40,8 @@ of forked worker processes.  Design constraints, in order:
   the indices without results* are re-run serially.
 
 Every run produces an :class:`ExecutionReport` — per-index attempts,
-failure reasons, wall-times, quarantines and pool restarts — so callers
-can account for exactly what self-healing had to do.
+failure reasons, wall-times, quarantines and replaced workers — so
+callers can account for exactly what self-healing had to do.
 """
 
 from __future__ import annotations
@@ -53,18 +49,11 @@ from __future__ import annotations
 import collections
 import multiprocessing
 import os
-import threading
 import time
 import warnings
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Callable, Sequence
-
-#: Fork-inherited payload: ``(work_fn, items, injector, ctrl_queue)``.
-#: Set only while a pool exists, and only under :data:`_PAYLOAD_LOCK` —
-#: two executors mapping concurrently from different threads serialise
-#: their parallel phases instead of clobbering each other's payload.
-_PAYLOAD = None
-_PAYLOAD_LOCK = threading.Lock()
 
 #: Outcomes a :class:`TaskRecord` can end in.
 OK = "ok"                #: succeeded on the first attempt
@@ -78,31 +67,45 @@ def _past(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
-def _run_index(index: int, attempt: int, skip_after: float | None):
-    """Worker entry point: run one item of the fork-inherited payload.
+def _serve(conn, inherited, work_fn, items, injector) -> None:
+    """Worker loop: run the tasks the supervisor sends until told to stop.
 
-    Returns ``None`` without running when ``skip_after`` (the deadline,
-    passed only for a first attempt that may be skipped) has passed.
-    Announces ``start``/``done`` on the control queue so the supervisor
-    can attribute a crash or hang to the exact index, and measures the
-    attempt's wall time worker-side (exact, unaffected by polling).
+    Each task is ``(index, attempt, skip_after)``; ``None`` stops the
+    worker.  Replies are ``("skip",)`` when ``skip_after`` (the deadline,
+    passed only for a first attempt that may be skipped) has passed,
+    ``("fail", reason)`` when the attempt raised, and ``("ok", value,
+    took)`` with the attempt's worker-side wall time otherwise.
     """
-    if _past(skip_after):
-        return None
-    work_fn, items, injector, ctrl = _PAYLOAD
-    pid = os.getpid()
-    if ctrl is not None:
-        ctrl.put(("start", pid, index, attempt))
-    if injector is not None:
-        injector.worker_fault(index, attempt)  # may crash, hang or raise
-    t0 = time.perf_counter()
-    value = work_fn(items[index], index)
-    took = time.perf_counter() - t0
-    if injector is not None:
-        value = injector.corrupt_result(index, attempt, value)
-    if ctrl is not None:
-        ctrl.put(("done", pid, index, attempt))
-    return index, attempt, value, took
+    # Drop the inherited parent ends, so that if the supervisor dies
+    # every worker's pipe reaches end-of-file and the workers exit.
+    for parent_end in inherited:
+        parent_end.close()
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        index, attempt, skip_after = task
+        if _past(skip_after):
+            conn.send(("skip",))
+            continue
+        try:
+            if injector is not None:
+                injector.worker_fault(index, attempt)  # may crash or hang
+            t0 = time.perf_counter()
+            value = work_fn(items[index], index)
+            took = time.perf_counter() - t0
+            if injector is not None:
+                value = injector.corrupt_result(index, attempt, value)
+            reply = ("ok", value, took)
+        except Exception as exc:
+            reply = ("fail", f"{type(exc).__name__}: {exc}")
+        try:
+            conn.send(reply)
+        except Exception as exc:  # e.g. an unpicklable result
+            conn.send(("fail", f"{type(exc).__name__}: {exc}"))
 
 
 @dataclass
@@ -117,7 +120,7 @@ class TaskRecord:
     #: poison-quarantined to a guarded serial run in the supervisor.
     quarantined: bool = False
     #: True when the final (successful or failed) run happened serially
-    #: in the supervisor process rather than in a pool worker.
+    #: in the supervisor process rather than in a worker.
     serial_fallback: bool = False
     #: Wall time of the successful attempt (seconds); 0.0 if none.
     wall_time_s: float = 0.0
@@ -141,10 +144,8 @@ class ExecutionReport:
     results: list = field(default_factory=list, repr=False)
     #: Why the run degraded to serial mid-flight (``None`` if it didn't).
     fallback_reason: str | None = None
-    #: Times the pool was torn down and rebuilt (hangs, stalls).
+    #: Hung workers killed; a fresh fork takes over any remaining work.
     pool_restarts: int = 0
-    #: In-flight attempts refunded to innocents during pool rebuilds.
-    refunds: int = 0
     wall_time_s: float = 0.0
 
     # ------------------------------------------------------------------
@@ -181,7 +182,6 @@ class ExecutionReport:
             "quarantined": list(self.quarantined_indices),
             "errors": list(self.failed_indices),
             "pool_restarts": self.pool_restarts,
-            "refunds": self.refunds,
             "fallback_reason": self.fallback_reason,
         }
 
@@ -192,15 +192,14 @@ class ExecutionReport:
                 f"retried={len(s['retried'])} "
                 f"quarantined={len(s['quarantined'])} "
                 f"errors={len(s['errors'])} "
-                f"pool_restarts={s['pool_restarts']} "
-                f"refunds={s['refunds']}")
+                f"pool_restarts={s['pool_restarts']}")
         if self.fallback_reason:
             line += f" fallback={self.fallback_reason!r}"
         return line
 
 
 class EpisodeExecutor:
-    """Map a work function over items under a supervised worker pool.
+    """Map a work function over items under supervised forked workers.
 
     ``task_timeout_s`` is the per-task deadline (``None`` = no hang
     detection); ``max_attempts`` bounds parallel attempts per index
@@ -215,8 +214,6 @@ class EpisodeExecutor:
     def __init__(self, workers: int = 0, start_method: str = "fork",
                  task_timeout_s: float | None = None,
                  max_attempts: int = 3,
-                 poll_interval_s: float = 0.02,
-                 stall_timeout_s: float = 30.0,
                  fault_injector=None,
                  validate_fn: Callable[[object, int], str | None] | None = None):
         if workers < 0:
@@ -231,20 +228,18 @@ class EpisodeExecutor:
         self.start_method = start_method
         self.task_timeout_s = task_timeout_s
         self.max_attempts = int(max_attempts)
-        self.poll_interval_s = poll_interval_s
-        self.stall_timeout_s = stall_timeout_s
         self.fault_injector = fault_injector
         self.validate_fn = validate_fn
 
     # ------------------------------------------------------------------
     @property
     def parallel_available(self) -> bool:
-        """True when a fork pool can actually be used here and now."""
+        """True when forked workers can actually be used here and now."""
         if self.workers <= 1 or not hasattr(os, "fork"):
             return False
         if self.start_method not in multiprocessing.get_all_start_methods():
             return False
-        # Daemonic processes (we might *be* a worker) cannot fork a pool.
+        # Daemonic processes (we might *be* a worker) cannot fork workers.
         return not multiprocessing.current_process().daemon
 
     # ------------------------------------------------------------------
@@ -253,7 +248,7 @@ class EpisodeExecutor:
     def run(self, work_fn: Callable, items: Sequence,
             deadline: float | None = None,
             min_episodes: int = 1) -> ExecutionReport:
-        """Run ``work_fn(item, index)`` for every item in one pool.
+        """Run ``work_fn(item, index)`` for every item.
 
         ``deadline`` is a :func:`time.monotonic` instant.  An index at or
         past ``min_episodes`` whose first attempt would start after it is
@@ -274,11 +269,11 @@ class EpisodeExecutor:
         results: list = [None] * n
         mode = "serial"
         fallback_reason = None
-        pool_restarts = refunds = 0
+        pool_restarts = 0
         if n and self.parallel_available:
             mode = "parallel"
             try:
-                pool_restarts, refunds = self._supervise(
+                pool_restarts = self._supervise(
                     work_fn, items, records, results, deadline, min_episodes
                 )
             except Exception as exc:
@@ -304,7 +299,7 @@ class EpisodeExecutor:
         return ExecutionReport(
             mode=mode, workers=self.workers, tasks=records[:k],
             results=results[:k], fallback_reason=fallback_reason,
-            pool_restarts=pool_restarts, refunds=refunds,
+            pool_restarts=pool_restarts,
             wall_time_s=time.perf_counter() - t_run,
         )
 
@@ -360,215 +355,145 @@ class EpisodeExecutor:
             todo.append(record.index)
 
     def _supervise(self, work_fn, items, records, results,
-                   deadline, min_episodes) -> tuple[int, int]:
-        """Run the pool until every index before the first skipped one
-        succeeded or was quarantined.
+                   deadline, min_episodes) -> int:
+        """Run the workers until every index before the first skipped
+        one succeeded or was quarantined.
 
-        Returns ``(pool_rebuilds, refunded_attempts)``.  Raises on
+        Returns the number of hung workers replaced.  Raises on
         unrecoverable supervision failures (the caller then degrades to
         serial).
         """
-        global _PAYLOAD
         context = multiprocessing.get_context(self.start_method)
-        n = len(items)
+        size = min(self.workers, len(items))
+        timeout_s = self.task_timeout_s
         restarts = 0
-        refunds = 0
-        stall_rebuilds = 0
-        cutoff = n                            # first skipped index
-        todo = collections.deque(range(n))
-        inflight: dict[int, object] = {}      # index -> AsyncResult
-        started: dict[int, float] = {}        # index -> start seen at
-        current: dict[int, tuple] = {}        # pid -> (index, attempt)
-        seen: dict[int, object] = {}          # pid -> Process
+        cutoff = len(items)                   # first skipped index
+        todo = collections.deque(range(len(items)))
         begun: set[int] = set()               # first attempt has started
-        # Completions, as ``[index, AsyncResult]`` cells, pushed by the
-        # pool's result thread; ``wake`` cuts the supervisor's wait short.
-        finished: collections.deque = collections.deque()
-        wake = threading.Event()
-        pool = None
-        ctrl = None
+        live: dict = {}                       # parent end -> Process
+        idle: list = []                       # parent ends with no task
+        busy: dict = {}                       # parent end -> (index, sent at)
 
-        def build_pool():
-            # A fresh control queue per pool: a worker killed while
-            # holding the old queue's write lock must not poison the
-            # replacement pool.
-            nonlocal pool, ctrl
-            global _PAYLOAD
-            ctrl = context.SimpleQueue()
-            _PAYLOAD = (work_fn, items, self.fault_injector, ctrl)
-            pool = context.Pool(processes=min(self.workers, n))
-            for proc in getattr(pool, "_pool", []):
-                seen[proc.pid] = proc
+        def fork():
+            conn, child = context.Pipe()
+            proc = context.Process(
+                target=_serve, daemon=True,
+                args=(child, (*live, conn), work_fn, items,
+                      self.fault_injector),
+            )
+            proc.start()
+            child.close()
+            live[conn] = proc
+            idle.append(conn)
 
-        def rebuild_pool(refund_inflight: bool):
-            # Requeue in-flight innocents; with ``refund_inflight`` they
-            # are not charged an attempt (the pool died, not them).
-            nonlocal restarts, refunds
-            for j in list(inflight):
-                inflight.pop(j)
-                if refund_inflight:
-                    records[j].attempts -= 1
-                    refunds += 1
-                todo.appendleft(j)
-            started.clear()
-            current.clear()
-            pool.terminate()
-            pool.join()
-            restarts += 1
-            build_pool()
+        def retire(conn):
+            # Kill a worker whose task is written off; it is joined here,
+            # so nothing it started outlives the run.
+            proc = live.pop(conn)
+            proc.kill()
+            proc.join()
+            conn.close()
 
-        with _PAYLOAD_LOCK:
-            try:
-                build_pool()
-                last_progress = time.perf_counter()
-                while todo or inflight:
-                    while todo:
-                        i = todo.popleft()
-                        if i >= cutoff:
-                            continue
-                        attempt = records[i].attempts
-                        records[i].attempts += 1
-                        skip_after = (
-                            deadline if i >= min_episodes
-                            and i not in begun else None
-                        )
-                        cell = [i]
-
-                        def on_result(_value, cell=cell):
-                            finished.append(cell)
-                            wake.set()
-
-                        cell.append(pool.apply_async(
-                            _run_index, (i, attempt, skip_after),
-                            callback=on_result, error_callback=on_result,
-                        ))
-                        inflight[i] = cell[1]
-                    # Control messages: who is running what, where.
-                    try:
-                        while not ctrl.empty():
-                            kind, pid, i, attempt = ctrl.get()
-                            if kind == "start":
-                                current[pid] = (i, attempt)
-                                started[i] = time.perf_counter()
-                                begun.add(i)
-                            elif current.get(pid, (None,))[0] == i:
-                                current.pop(pid, None)
-                    except (OSError, EOFError):  # pragma: no cover
-                        pass
-                    # Completions (success, skip, exception, corrupt
-                    # result).  The callback runs before ``ready()`` turns
-                    # true, so take what it reported and let ``get()``
-                    # wait out the rest; a cell whose handle is no longer
-                    # in flight belongs to an attempt already written off.
-                    progressed = False
-                    while finished:
-                        i, handle = finished.popleft()
-                        if inflight.get(i) is not handle:
-                            continue
-                        inflight.pop(i)
-                        started.pop(i, None)
-                        for pid, (j, _a) in list(current.items()):
-                            if j == i:
-                                current.pop(pid)
-                        progressed = True
-                        try:
-                            outcome = handle.get()
-                        except Exception as exc:
-                            begun.add(i)
-                            self._record_failure(
-                                records[i],
-                                f"{type(exc).__name__}: {exc}", todo,
-                            )
-                            continue
-                        if outcome is None:
-                            records[i].outcome = SKIPPED
-                            cutoff = min(cutoff, i)
-                            continue
-                        begun.add(i)
-                        _i, _a, value, took = outcome
-                        problem = (self.validate_fn(value, i)
-                                   if self.validate_fn is not None else None)
-                        if problem is not None:
-                            self._record_failure(
-                                records[i], f"invalid result: {problem}",
-                                todo,
-                            )
-                            continue
-                        results[i] = value
-                        records[i].wall_time_s = took
-                        records[i].outcome = (
-                            OK if records[i].attempts == 1 else RECOVERED
-                        )
-                    # Work past the first skipped index is never reported:
-                    # stop watching it (the pool teardown ends it).
-                    for j in [j for j in inflight if j >= cutoff]:
-                        inflight.pop(j)
-                        started.pop(j, None)
-                    if progressed:
-                        last_progress = time.perf_counter()
-                    if not todo and not inflight:
-                        break
-                    # Crashed workers: a pid we attributed a task to has
-                    # exited (sentinel/exitcode) without delivering it.
-                    for proc in getattr(pool, "_pool", []):
-                        seen.setdefault(proc.pid, proc)
-                    live = {p.pid for p in getattr(pool, "_pool", [])}
-                    for pid, (i, _attempt) in list(current.items()):
-                        proc = seen.get(pid)
-                        dead = (
-                            (proc is not None and proc.exitcode is not None)
-                            or (proc is None and pid not in live)
-                        )
-                        if dead and i in inflight:
-                            inflight.pop(i)
-                            started.pop(i, None)
-                            current.pop(pid, None)
-                            code = getattr(proc, "exitcode", "?")
-                            self._record_failure(
-                                records[i],
-                                f"worker pid {pid} crashed "
-                                f"(exit {code}) while running index {i}",
-                                todo,
-                            )
-                            last_progress = time.perf_counter()
-                    # Hung workers: past the per-task deadline.  The hung
-                    # worker keeps its pool slot, so rebuild the pool.
-                    now = time.perf_counter()
-                    if self.task_timeout_s is not None:
-                        hung = [i for i, t0 in started.items()
-                                if i in inflight
-                                and now - t0 > self.task_timeout_s]
-                        if hung:
-                            for i in hung:
-                                inflight.pop(i)
-                                started.pop(i, None)
-                                self._record_failure(
-                                    records[i],
-                                    f"task exceeded its "
-                                    f"{self.task_timeout_s:g}s deadline",
-                                    todo,
-                                )
-                            rebuild_pool(refund_inflight=True)
-                            last_progress = time.perf_counter()
-                            continue
-                    # Stall safety net: no completion for a long time and
-                    # no attributable culprit (e.g. a worker died between
-                    # task pickup and its start announcement).
-                    if now - last_progress > self.stall_timeout_s:
-                        stall_rebuilds += 1
-                        if stall_rebuilds > 3:
-                            raise RuntimeError(
-                                f"worker pool made no progress through "
-                                f"{stall_rebuilds} restarts"
-                            )
-                        rebuild_pool(refund_inflight=True)
-                        last_progress = time.perf_counter()
+        try:
+            while True:
+                while todo:
+                    i = todo.popleft()
+                    if i >= cutoff:
                         continue
-                    wake.wait(self.poll_interval_s)
-                    wake.clear()
-                return restarts, refunds
-            finally:
-                _PAYLOAD = None
-                if pool is not None:
-                    pool.terminate()
-                    pool.join()
+                    if not idle:
+                        if len(live) >= size:
+                            todo.appendleft(i)
+                            break
+                        fork()
+                    conn = idle.pop()
+                    attempt = records[i].attempts
+                    records[i].attempts += 1
+                    skip_after = (deadline if i >= min_episodes
+                                  and i not in begun else None)
+                    conn.send((i, attempt, skip_after))
+                    busy[conn] = (i, time.monotonic())
+                if not busy:
+                    return restarts
+                timeout = None
+                if timeout_s is not None:
+                    first = min(sent for _i, sent in busy.values())
+                    timeout = max(0.0, first + timeout_s - time.monotonic())
+                sentinels = {live[conn].sentinel: conn for conn in busy}
+                for ready in wait([*busy, *sentinels], timeout):
+                    conn = sentinels.get(ready, ready)
+                    if conn not in busy:     # pipe and sentinel both fired
+                        continue
+                    i, _sent = busy.pop(conn)
+                    try:
+                        # A sentinel can fire while another process still
+                        # holds the child end, so poll before reading.
+                        reply = conn.recv() if conn.poll() else None
+                    except (EOFError, OSError):
+                        reply = None
+                    if reply is None:
+                        proc = live[conn]
+                        retire(conn)
+                        begun.add(i)
+                        self._record_failure(
+                            records[i],
+                            f"worker pid {proc.pid} crashed "
+                            f"(exit {proc.exitcode}) while running index {i}",
+                            todo,
+                        )
+                        continue
+                    idle.append(conn)
+                    if reply[0] == "skip":
+                        records[i].outcome = SKIPPED
+                        cutoff = min(cutoff, i)
+                        continue
+                    begun.add(i)
+                    if reply[0] == "fail":
+                        self._record_failure(records[i], reply[1], todo)
+                        continue
+                    _ok, value, took = reply
+                    problem = (self.validate_fn(value, i)
+                               if self.validate_fn is not None else None)
+                    if problem is not None:
+                        self._record_failure(
+                            records[i], f"invalid result: {problem}", todo,
+                        )
+                        continue
+                    results[i] = value
+                    records[i].wall_time_s = took
+                    records[i].outcome = (
+                        OK if records[i].attempts == 1 else RECOVERED
+                    )
+                now = time.monotonic()
+                for conn, (i, sent) in list(busy.items()):
+                    if i >= cutoff:
+                        # Work past the first skipped index is never
+                        # reported: stop it.
+                        busy.pop(conn)
+                        retire(conn)
+                    elif timeout_s is not None and now - sent >= timeout_s:
+                        # A hung worker is killed and replaced; the
+                        # others keep running their tasks.
+                        busy.pop(conn)
+                        retire(conn)
+                        restarts += 1
+                        begun.add(i)
+                        self._record_failure(
+                            records[i],
+                            f"task exceeded its {timeout_s:g}s deadline",
+                            todo,
+                        )
+        finally:
+            # Idle workers get a stop message (a closed pipe is no signal:
+            # later forks hold copies of earlier parent ends); any other
+            # is killed.
+            for conn, proc in live.items():
+                if conn not in idle:
+                    proc.kill()
+                    continue
+                try:
+                    conn.send(None)
+                except OSError:  # the worker is already gone
+                    pass
+            for conn, proc in live.items():
+                proc.join()
+                conn.close()

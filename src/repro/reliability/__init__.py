@@ -47,7 +47,6 @@ from repro.reliability.integrity import (
     CHECKSUM_SUFFIX,
     QUARANTINE_SUFFIX,
     IntegrityError,
-    bytes_sha256,
     file_sha256,
     quarantine_file,
     verify_checksum_sidecar,
@@ -79,7 +78,6 @@ __all__ = [
     "CHECKSUM_SUFFIX",
     "QUARANTINE_SUFFIX",
     "IntegrityError",
-    "bytes_sha256",
     "file_sha256",
     "quarantine_file",
     "verify_checksum_sidecar",

@@ -196,10 +196,10 @@ class FaultInjector:
         return None
 
     def worker_fault(self, index: int, attempt: int) -> None:
-        """Kill, hang or fail a pool worker; consulted inside the worker.
+        """Kill, hang or fail an executor worker; consulted inside it.
 
         Wired into the supervised executor's worker entry point
-        (:func:`repro.perf.executor._run_index`) before the work
+        (:func:`repro.perf.executor._serve`) before the work
         function runs.  A *crash* is ``os._exit`` — the hard worker
         death no ``except`` can absorb; a *hang* sleeps far past any
         sane task deadline; a *raise* is an ordinary

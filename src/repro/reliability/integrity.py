@@ -3,7 +3,7 @@
 Training checkpoints (:mod:`repro.reliability.checkpoint`), the
 runtime's durable artifacts, protect themselves this way:
 
-* a **content digest** (:func:`file_sha256` / :func:`bytes_sha256`)
+* a **content digest** (:func:`file_sha256`)
   proves the bytes read are the bytes written;
 * an optional **sidecar** (``<path>.sha256``, ``sha256sum`` format,
   written atomically by :func:`write_checksum_sidecar`) catches
@@ -31,11 +31,6 @@ QUARANTINE_SUFFIX = ".quarantined"
 
 class IntegrityError(RuntimeError):
     """A file failed its integrity check (default error class)."""
-
-
-def bytes_sha256(data: bytes) -> str:
-    """Hex SHA-256 of an in-memory byte string."""
-    return hashlib.sha256(data).hexdigest()
 
 
 def file_sha256(path: str) -> str:

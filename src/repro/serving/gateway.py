@@ -19,9 +19,8 @@ request order:
    in-flight tickets are *refunded* (requeued to surviving replicas at
    the front of the line), its breaker records the failure, and the
    replica is rebuilt on fresh queues after a jittered backoff — the
-   same crash/hang-detection, pool-rebuild and attempt-refund
-   discipline as :class:`repro.perf.executor.EpisodeExecutor`, applied
-   to a long-lived fleet.
+   crash/hang detection of :class:`repro.perf.executor.EpisodeExecutor`,
+   with refunds and rebuilds for a long-lived fleet.
 3. **Hedging** — a request in flight longer than ``hedge_after_ms`` is
    duplicated to the least-loaded other healthy replica.  The first
    response wins and is delivered exactly once; the loser is cancelled

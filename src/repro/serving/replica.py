@@ -12,8 +12,8 @@ failover, hedging and reload logic is exercised by two backends:
   ``kill()`` simulates a replica death: in-flight work is dropped on
   the floor, exactly like a SIGKILL'd process losing its pipe.
 * :class:`ProcessReplica` — a forked worker process hosting the
-  service, following the supervision discipline of
-  :class:`repro.perf.executor.EpisodeExecutor`: the service factory is
+  service, supervised like the workers of
+  :class:`repro.perf.executor.EpisodeExecutor`.  The service factory is
   published in a lock-guarded module slot *before* the fork so models
   are inherited copy-on-write (never pickled), each replica gets its
   own request and response ``SimpleQueue`` (single writer, single

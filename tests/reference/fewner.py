@@ -15,8 +15,12 @@ from repro.autodiff.tensor import Tensor, grad
 
 
 def recompute_inner_adapt(adapter, episode, steps: int,
-                          create_graph: bool) -> Tensor:
-    """Inner-loop φ adaptation that re-runs the encoder every step."""
+                          create_graph: bool, support=None) -> Tensor:
+    """Inner-loop φ adaptation that re-runs the encoder every step.
+
+    ``support`` (the caller's pre-encoded support set) is ignored: the
+    oracle encodes the support set on its own.
+    """
     model, config = adapter.model, adapter.config
     batch = model.encode(list(episode.support), episode.scheme)
     phi = model.new_context()

@@ -119,15 +119,14 @@ class TestRenderEvent:
         # Journal notes and ExecutionReport.summary() carry index lists;
         # counter-derived reports carry plain ints.  Same wording either way.
         base = {"kind": "event", "name": "execution", "method": "FewNER",
-                "setting": "NNE", "k_shot": 5, "pool_restarts": 1,
-                "refunds": 0}
+                "setting": "NNE", "k_shot": 5, "pool_restarts": 1}
         with_lists = render_event(
             {**base, "retried": [3, 7], "quarantined": [7], "errors": []})
         with_ints = render_event(
             {**base, "retried": 2, "quarantined": 1, "errors": 0})
         assert with_lists == with_ints
         assert ("self-healing: FewNER/NNE/5-shot — retried 2, quarantined 1, "
-                "errors 0, pool restarts 1, refunds 0") == with_lists
+                "errors 0, pool restarts 1") == with_lists
 
     def test_span_and_fallback_rendering(self):
         line = render_event({"kind": "span", "name": "decode",

@@ -40,9 +40,9 @@ class TestEpisodeExecutor:
         assert ex.run(lambda item, i: item + i, [5, 6]).results == [5, 7]
 
     def test_completion_ends_the_wait(self):
-        # A completion wakes the supervisor: with a 5 s poll interval the
-        # run still returns at once instead of sleeping a full interval.
-        ex = EpisodeExecutor(workers=2, poll_interval_s=5.0)
+        # A reply wakes the supervisor at once: it blocks on the workers'
+        # pipes, not on a poll interval.
+        ex = EpisodeExecutor(workers=2)
         began = time.perf_counter()
         report = ex.run(lambda item, i: item + i, [1, 2, 3, 4])
         assert time.perf_counter() - began < 2.0
@@ -72,6 +72,26 @@ class TestEpisodeExecutor:
         with pytest.warns(UserWarning, match="degraded to serial"):
             assert ex.run(lambda item, i: item * 2, [1, 2]).results \
                 == [2, 4]
+
+    @pytest.mark.parametrize("fault", ["clean", "crash", "hang"])
+    def test_no_worker_outlives_run(self, fault):
+        """After ``run`` returns none of its workers is alive: not after
+        a clean run, an injected crash or a hang kill."""
+        from repro.reliability import FaultInjector
+
+        plan = {"clean": {}, "crash": {"worker_crash_at": (1, 4)},
+                "hang": {"worker_hang_at": (2,), "worker_hang_s": 5.0}}
+        ex = EpisodeExecutor(workers=2, task_timeout_s=0.5,
+                             fault_injector=FaultInjector(**plan[fault]))
+        if not ex.parallel_available:
+            pytest.skip("fork start method unavailable on this platform")
+        before = set(multiprocessing.active_children())
+        report = ex.run(lambda item, i: item * 3, list(range(8)))
+        assert report.results == [i * 3 for i in range(8)]
+        assert report.mode == "parallel"
+        if fault != "clean":
+            assert report.retried_indices
+        assert set(multiprocessing.active_children()) <= before
 
     def test_daemon_process_degrades_gracefully(self, monkeypatch):
         class FakeDaemon:
@@ -192,11 +212,13 @@ class TestParallelEvaluationParity:
         assert 2 <= k < len(episodes)
         assert result.episode_scores == full.episode_scores[:k]
 
-    def test_one_pool_per_evaluation(self, fixture, monkeypatch):
-        """16 episodes at workers=2 fork one pool, not one per pair."""
+    def test_one_fork_per_worker_per_evaluation(self, fixture,
+                                                 monkeypatch):
+        """16 episodes at workers=2 fork exactly 2 workers, not one per
+        episode or per pair."""
         if not EpisodeExecutor(workers=2).parallel_available:
             pytest.skip("fork start method unavailable on this platform")
-        pools = []
+        forks = []
         get_context = multiprocessing.get_context
 
         class CountingContext:
@@ -206,9 +228,9 @@ class TestParallelEvaluationParity:
             def __getattr__(self, name):
                 return getattr(self.context, name)
 
-            def Pool(self, *args, **kwargs):
-                pools.append(kwargs.get("processes"))
-                return self.context.Pool(*args, **kwargs)
+            def Process(self, *args, **kwargs):
+                forks.append(kwargs.get("target"))
+                return self.context.Process(*args, **kwargs)
 
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method=None:
@@ -217,7 +239,7 @@ class TestParallelEvaluationParity:
         result = evaluate_method(_Oracle(), episodes, workers=2)
         assert len(result.episode_scores) == 16
         assert result.execution.mode == "parallel"
-        assert pools == [2]
+        assert len(forks) == 2
 
     def test_fast_flag_smoke(self, fixture):
         episodes = fixture[2][:1]

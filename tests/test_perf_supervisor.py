@@ -35,8 +35,7 @@ def _require_fork(executor):
 class TestCrashRecovery:
     def test_crashed_worker_costs_one_retry(self):
         injector = FaultInjector(worker_crash_at=(2, 5))
-        ex = EpisodeExecutor(workers=2, fault_injector=injector,
-                             stall_timeout_s=10.0)
+        ex = EpisodeExecutor(workers=2, fault_injector=injector)
         _require_fork(ex)
         items = list(range(8))
         report = ex.run(_work, items)
@@ -52,8 +51,7 @@ class TestCrashRecovery:
         planned = [i for i in range(16)
                    if injector.planned_worker_fault(i) == "crash"]
         assert planned  # the seed must actually schedule something
-        ex = EpisodeExecutor(workers=3, fault_injector=injector,
-                             stall_timeout_s=10.0)
+        ex = EpisodeExecutor(workers=3, fault_injector=injector)
         _require_fork(ex)
         items = list(range(16))
         report = ex.run(_work, items)
@@ -65,7 +63,7 @@ class TestHangRecovery:
     def test_hung_worker_detected_and_pool_rebuilt(self):
         injector = FaultInjector(worker_hang_at=(1,), worker_hang_s=5.0)
         ex = EpisodeExecutor(workers=2, task_timeout_s=0.25,
-                             fault_injector=injector, stall_timeout_s=10.0)
+                             fault_injector=injector)
         _require_fork(ex)
         items = list(range(6))
         report = ex.run(_work, items)
@@ -75,11 +73,11 @@ class TestHangRecovery:
         assert any("deadline" in err for err in report.tasks[1].errors)
 
     def test_innocent_inflight_tasks_not_charged(self):
-        """A pool rebuild requeues in-flight innocents attempt-free: an
-        index that never faulted must end with attempts == 1."""
+        """Killing a hung worker leaves the others running: an index
+        that never faulted must end with attempts == 1."""
         injector = FaultInjector(worker_hang_at=(0,), worker_hang_s=5.0)
         ex = EpisodeExecutor(workers=2, task_timeout_s=0.25, max_attempts=2,
-                             fault_injector=injector, stall_timeout_s=10.0)
+                             fault_injector=injector)
         _require_fork(ex)
         items = list(range(6))
         report = ex.run(_work, items)
@@ -93,8 +91,7 @@ class TestCorruptionAndValidation:
     def test_corrupt_result_rejected_and_retried(self):
         injector = FaultInjector(worker_corrupt_at=(0, 4))
         ex = EpisodeExecutor(workers=2, fault_injector=injector,
-                             validate_fn=_reject_non_finite,
-                             stall_timeout_s=10.0)
+                             validate_fn=_reject_non_finite)
         _require_fork(ex)
         items = list(range(6))
         report = ex.run(_work, items)
@@ -105,8 +102,7 @@ class TestCorruptionAndValidation:
 
     def test_raised_attempts_retry_immediately(self):
         injector = FaultInjector(worker_raise_at=(1, 4))
-        ex = EpisodeExecutor(workers=2, fault_injector=injector,
-                             stall_timeout_s=10.0)
+        ex = EpisodeExecutor(workers=2, fault_injector=injector)
         _require_fork(ex)
         items = list(range(6))
         report = ex.run(_work, items)
@@ -118,8 +114,7 @@ class TestCorruptionAndValidation:
 
     def test_injected_raise_retried(self):
         injector = FaultInjector(worker_raise_at=(3,))
-        ex = EpisodeExecutor(workers=2, fault_injector=injector,
-                             stall_timeout_s=10.0)
+        ex = EpisodeExecutor(workers=2, fault_injector=injector)
         _require_fork(ex)
         report = ex.run(_work, list(range(5)))
         assert report.results == _expected(list(range(5)))
@@ -135,7 +130,7 @@ class TestQuarantine:
         injector = FaultInjector(worker_raise_at=(1,),
                                  worker_fault_attempts=(0, 1, 2))
         ex = EpisodeExecutor(workers=2, max_attempts=3,
-                             fault_injector=injector, stall_timeout_s=10.0)
+                             fault_injector=injector)
         _require_fork(ex)
         items = list(range(4))
         report = ex.run(_work, items)
@@ -153,7 +148,7 @@ class TestQuarantine:
                 raise RuntimeError("unconditionally broken episode")
             return _work(item, index)
 
-        ex = EpisodeExecutor(workers=2, max_attempts=2, stall_timeout_s=10.0)
+        ex = EpisodeExecutor(workers=2, max_attempts=2)
         _require_fork(ex)
         items = list(range(5))
         report = ex.run(poisoned, items)  # must not raise
@@ -190,7 +185,7 @@ class TestDegradedFallback:
             calls.append(index)
             return _work(item, index)
 
-        ex = EpisodeExecutor(workers=2, stall_timeout_s=10.0)
+        ex = EpisodeExecutor(workers=2)
         _require_fork(ex)
 
         def half_then_die(work_fn, items, records, results, deadline,
@@ -239,8 +234,7 @@ class TestDeadline:
 
         injector = FaultInjector(worker_corrupt_at=(1,))
         ex = EpisodeExecutor(workers=2, fault_injector=injector,
-                             validate_fn=_reject_non_finite,
-                             stall_timeout_s=10.0)
+                             validate_fn=_reject_non_finite)
         _require_fork(ex)
         items = list(range(4))
         deadline = time.monotonic() + 1.0
@@ -255,10 +249,11 @@ class TestDeadline:
 
 class TestPayloadLock:
     def test_concurrent_executors_do_not_clobber_payloads(self):
-        """Two threads mapping through fork pools at once serialise on
-        the payload lock; both must still get their own results."""
-        ex_a = EpisodeExecutor(workers=2, stall_timeout_s=10.0)
-        ex_b = EpisodeExecutor(workers=2, stall_timeout_s=10.0)
+        """Two threads mapping through forked workers at once: each
+        worker inherits its own executor's payload, so both must still
+        get their own results."""
+        ex_a = EpisodeExecutor(workers=2)
+        ex_b = EpisodeExecutor(workers=2)
         _require_fork(ex_a)
         items_a = list(range(0, 12))
         items_b = list(range(100, 112))
@@ -313,7 +308,7 @@ class TestAcceptanceSoak:
         injector = FaultInjector(worker_crash_p=0.2, worker_hang_p=0.1,
                                  worker_seed=17, worker_hang_s=5.0)
         ex = EpisodeExecutor(workers=4, task_timeout_s=0.4, max_attempts=3,
-                             fault_injector=injector, stall_timeout_s=15.0)
+                             fault_injector=injector)
         _require_fork(ex)
         items = list(range(200))
         report = ex.run(_work, items)

@@ -9,17 +9,11 @@ from repro.reliability.integrity import (
     CHECKSUM_SUFFIX,
     QUARANTINE_SUFFIX,
     IntegrityError,
-    bytes_sha256,
     file_sha256,
     quarantine_file,
     verify_checksum_sidecar,
     write_checksum_sidecar,
 )
-
-
-def test_bytes_sha256_matches_hashlib():
-    data = b"the quick brown fox"
-    assert bytes_sha256(data) == hashlib.sha256(data).hexdigest()
 
 
 def test_file_sha256_streams_whole_file(tmp_path):
@@ -43,7 +37,7 @@ def test_sidecar_is_sha256sum_format(tmp_path):
     path.write_bytes(b"payload")
     sidecar = write_checksum_sidecar(str(path))
     digest, name = open(sidecar, encoding="utf-8").read().split()
-    assert digest == bytes_sha256(b"payload")
+    assert digest == hashlib.sha256(b"payload").hexdigest()
     assert name == "artifact.npz"
 
 
@@ -102,5 +96,5 @@ def test_quarantine_missing_file_never_raises(tmp_path):
 def test_reliability_package_reexports():
     from repro import reliability
 
-    assert reliability.bytes_sha256 is bytes_sha256
+    assert reliability.file_sha256 is file_sha256
     assert reliability.IntegrityError is IntegrityError

@@ -235,6 +235,9 @@ class TestCommittedEvidence:
     def test_fused_inner_loop_table_numbers_are_committed(self):
         assert self._committed_numbers_checked("Fused inner loop") >= 130
 
+    def test_one_pass_per_episode_table_numbers_are_committed(self):
+        assert self._committed_numbers_checked("One pass per episode") >= 130
+
 
 class TestPackagingHygiene:
     def test_all_packages_have_init(self):
