@@ -25,7 +25,9 @@ verify-golden:
 	    tests/test_golden_serving.py \
 	    tests/test_perf_fused_checkpoints.py \
 	    tests/test_perf_inner_loop.py \
-	    tests/test_perf_shared_pass.py -q
+	    tests/test_perf_shared_pass.py \
+	    tests/test_perf_char_cnn.py::TestDistinctRows \
+	    tests/test_perf_kernels.py::TestFusedNLLBitIdentity -q
 
 verify-executor:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_perf_executor.py \

@@ -162,10 +162,10 @@ class FewNER(Adapter):
                 tasks = sampler.sample_many(config.meta_batch)
                 self.model.zero_grad()
                 total = 0.0
-                for episode in tasks:
+                for episode, support in zip(tasks, self._encode_supports(tasks)):
                     phi_k = self._inner_adapt(
                         episode, config.inner_steps_train,
-                        create_graph=config.second_order,
+                        create_graph=config.second_order, support=support,
                     )
                     if not config.second_order:
                         phi_k = phi_k.detach()
@@ -178,6 +178,54 @@ class FewNER(Adapter):
                 guard.step(total / config.meta_batch)
                 losses.append(total / config.meta_batch)
         return losses
+
+    def _encode_supports(self, tasks: list[Episode]) -> list:
+        """The support sets of one meta-batch, encoded in one pass.
+
+        θ changes only at the guarded step, and a first-order inner loop
+        without dropout runs the encoder in eval mode off the tape, so
+        the support sets that :meth:`_one_pass` allows share one
+        :meth:`_encode_together` pass; each gets its ``(batch, base)``
+        for :meth:`_inner_adapt`.  The others get ``None`` and are
+        encoded there, as are all of them under ``second_order`` or
+        ``inner_dropout``.
+        """
+        supports = [list(episode.support) for episode in tasks]
+        encoded: list = [None] * len(tasks)
+        if self.config.second_order or self.config.inner_dropout:
+            return encoded
+        shared = [i for i, support in enumerate(supports)
+                  if self._one_pass(support)]
+        if shared:
+            pairs = self._encode_together(
+                [supports[i] for i in shared],
+                [encode_tags(supports[i], tasks[i].scheme) for i in shared])
+            for i, pair in zip(shared, pairs):
+                encoded[i] = pair
+        return encoded
+
+    def _encode_together(self, sets: list, tags: list) -> list:
+        """One frozen-θ encoder pass (eval mode, off the tape) over
+        several sentence sets; per set, its ``(batch, base)`` rows cut
+        to its own width, with ``tags`` as its gold tag ids."""
+        from repro import obs
+
+        with obs.span("encode"):
+            batch = self.model.encode([s for sentences in sets for s in sentences])
+        was_training = self.model.training
+        self.model.eval()
+        try:
+            with no_grad():
+                base = self.model.encoder_features(batch).data
+        finally:
+            self.model.train(was_training)
+        pairs, stop = [], 0
+        for sentences, tag_ids in zip(sets, tags):
+            start, stop = stop, stop + len(sentences)
+            rows = batch.rows(start, stop, tag_ids)
+            pairs.append((rows, Tensor(np.ascontiguousarray(
+                base[start:stop, :rows.mask.shape[1]]))))
+        return pairs
 
     # ------------------------------------------------------------------
     def predict_episode(self, episode: Episode) -> list[list[SpanTuple]]:
@@ -201,15 +249,8 @@ class FewNER(Adapter):
                 return self.model.predict_spans(query, scheme,
                                                 phi=phi.detach())
         reject_empty(query)
-        n = len(support)
-        with obs.span("encode"):
-            batch = self.model.encode(support + query)
-            s_batch = batch.rows(0, n, encode_tags(support, scheme))
-            q_batch = batch.rows(n, batch.size)
-        with no_grad():
-            base = self.model.encoder_features(batch).data
-        s_base = Tensor(np.ascontiguousarray(base[:n, :s_batch.mask.shape[1]]))
-        q_base = Tensor(np.ascontiguousarray(base[n:, :q_batch.mask.shape[1]]))
+        (s_batch, s_base), (q_batch, q_base) = self._encode_together(
+            [support, query], [encode_tags(support, scheme), None])
         phi = self._inner_adapt(episode, steps, create_graph=False,
                                 support=(s_batch, s_base))
         with obs.span("decode"), no_grad():
@@ -218,14 +259,13 @@ class FewNER(Adapter):
             tags = self.model.crf.viterbi_decode_batch(scores, q_batch.mask)
             return [scheme.decode(tag_ids) for tag_ids in tags]
 
-    def _one_pass(self, support, query) -> bool:
-        """Whether one encoder pass over ``support + query`` gives each
-        set the bytes of a pass of its own.  A transformer row depends on
-        its batch; a recurrent one does not, but BLAS runs a one-sentence
-        or one-token-wide product as a matrix-vector call."""
+    def _one_pass(self, *sets) -> bool:
+        """Whether sentence sets encoded in one pass with others get the
+        bytes of a pass of their own.  A transformer row depends on its
+        batch; a recurrent one does not, but BLAS runs a one-sentence or
+        one-token-wide product as a matrix-vector call."""
         return (self.model.config.encoder in ("bigru", "bilstm")
-                and len(support) > 1 and len(query) > 1
-                and max(map(len, support)) > 1 and max(map(len, query)) > 1)
+                and all(len(s) > 1 and max(map(len, s)) > 1 for s in sets))
 
     def adapt_context(self, episode: Episode, steps: int | None = None) -> Tensor:
         """Public access to the adapted φ (used by analyses/examples)."""

@@ -14,6 +14,7 @@ from repro.autodiff.tensor import (
     Tensor,
     concatenate,
     getitem,
+    is_grad_enabled,
     matmul,
     max_,
     pad,
@@ -22,7 +23,7 @@ from repro.autodiff.tensor import (
 )
 from repro.nn import init
 from repro.nn.module import Module, ModuleList, Parameter
-from repro.perf.conv_kernels import char_cnn_fused
+from repro.perf.conv_kernels import char_cnn_fused, distinct_rows
 from repro.perf.fastpath import recurrent_kernel_enabled
 
 
@@ -87,7 +88,8 @@ class CharCNN(Module):
 
     By default the whole encoder after the embedding lookup runs as one
     fused tape node (:func:`repro.perf.conv_kernels.char_cnn_fused`,
-    bit-identical in output and gradients).  Under
+    bit-identical in output and gradients); under ``no_grad`` a batch
+    with pad cells runs it on its distinct character-id rows only.  Under
     :func:`repro.perf.fastpath.recurrent_kernel` ``(False)`` — the
     switch second-order work turns off around the fused encoder kernels
     — it runs on the tape through :class:`Conv1d`, ``relu`` and
@@ -122,6 +124,17 @@ class CharCNN(Module):
                 "char ids must be a (num_words, max_chars) matrix with "
                 f"max_chars >= 1, got shape {char_ids.shape}"
             )
+        pad = self.char_embedding.padding_idx
+        if (recurrent_kernel_enabled() and not is_grad_enabled()
+                and (char_ids[:, 0] == pad).any()):
+            # Off the tape a word's output depends on its own characters
+            # alone, so each distinct row is encoded once and gathered
+            # back.  Only a batch with pad cells (all one row) takes this
+            # route: a single sentence has none and few repeated words,
+            # so finding its distinct rows would cost more than it saves.
+            rows, inverse = distinct_rows(char_ids)
+            out = char_cnn_fused(self.char_embedding(rows), self.convs)
+            return Tensor(out.data[inverse])
         emb = self.char_embedding(char_ids)  # (W, C, d)
         if recurrent_kernel_enabled():
             return char_cnn_fused(emb, self.convs)

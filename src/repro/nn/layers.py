@@ -34,7 +34,11 @@ class Linear(Module):
 
 
 class Embedding(Module):
-    """Lookup table mapping integer ids to dense vectors."""
+    """Lookup table mapping integer ids to dense vectors.
+
+    ``padding_idx`` zeroes that row at construction only: its gradient
+    is not masked, so training moves it like any other row.
+    """
 
     def __init__(self, num_embeddings: int, embedding_dim: int,
                  rng: np.random.Generator, padding_idx: int | None = None,

@@ -146,12 +146,18 @@ class Adam(Optimizer):
         return state
 
 
-def clip_grad_norm(params, max_norm: float) -> float:
-    """Clip gradients in place by global L2 norm; returns the pre-clip norm."""
+def clip_grad_norm(params, max_norm: float,
+                   total: float | None = None) -> float:
+    """Clip gradients in place by global L2 norm; returns the pre-clip norm.
+
+    ``total`` is that norm when the caller has already computed it, as
+    :class:`repro.reliability.GuardedStep` has; it is then not summed
+    again."""
     grads = [p.grad for p in params if p.grad is not None]
     if not grads:
         return 0.0
-    total = float(np.sqrt(sum(float((g.data**2).sum()) for g in grads)))
+    if total is None:
+        total = float(np.sqrt(sum(float((g.data**2).sum()) for g in grads)))
     if total > max_norm and total > 0:
         scale = max_norm / total
         for g in grads:

@@ -32,8 +32,14 @@ The output and every gradient are bit-identical to the tape route:
   widths ``(2, 3, 4)``.
 
 Under ``no_grad`` nothing is kept for the backward (no window copies,
-no masks).  The backward runs outside the tape, so it is first-order
-only: differentiating through it with ``create_graph=True`` raises
+no masks), and ``CharCNN.forward`` hands the kernel only the distinct
+character-id rows of a batch with pad cells (:func:`distinct_rows`;
+every pad cell is the same all-zero row) and gathers the output back.
+The matmul is one ``(C, k·d) @ (k·d, F)`` GEMM per word, so a word's
+output bytes do not depend on the other words of its call.
+
+The backward runs outside the tape, so it is first-order only:
+differentiating through it with ``create_graph=True`` raises
 ``RuntimeError``.  Second-order work runs under
 :func:`repro.perf.fastpath.recurrent_kernel` ``(False)``, which also
 routes the char-CNN back to the tape.
@@ -47,7 +53,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.autodiff.tensor import DEFAULT_DTYPE, Tensor, _make, is_grad_enabled
 from repro.perf.rnn_kernels import _fused_vjps
 
-__all__ = ["char_cnn_fused"]
+__all__ = ["char_cnn_fused", "distinct_rows"]
 
 _SECOND_ORDER_MSG = (
     "the fused char-CNN is first-order only: its backward runs outside "
@@ -67,6 +73,16 @@ def _window_adjoint(g_windows: np.ndarray, padded_len: int) -> np.ndarray:
     for j in range(k - 1, -1, -1):
         out[:, j:j + chars] += g_windows[:, :, j]
     return out
+
+
+def distinct_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D id matrix and, per row, its index
+    among them: ``rows[inverse]`` equals ``ids``."""
+    ids = np.ascontiguousarray(ids)
+    keys = ids.view(np.dtype((np.void, ids.dtype.itemsize * ids.shape[1])))
+    _keys, first, inverse = np.unique(keys[:, 0], return_index=True,
+                                      return_inverse=True)
+    return ids[first], inverse
 
 
 def char_cnn_fused(emb: Tensor, convs) -> Tensor:

@@ -188,7 +188,11 @@ def crf_nll_fused(crf, emissions, tags, mask) -> Tensor:
     * the backward replays each primitive's VJP, and sums every
       multi-contribution gradient in the tape's order: the log-partition
       terms (transitions from step ``L-1`` down to 1) first, the gold
-      path's scatter last.
+      path's scatter last.  The forward's per-step residuals are kept
+      as ``(L-1, B, T, T)`` stacks, so what depends on them alone (the
+      tie-split masks, ``1 - live``) and each step's emission and
+      transition sums are one numpy call per node, not one per step;
+      only the ``g_alpha`` recursion runs step by step.
 
     With ``L == 1`` the graph never reads the transitions, so their
     gradient is ``None``.  First-order only: backpropagating through
@@ -201,17 +205,28 @@ def crf_nll_fused(crf, emissions, tags, mask) -> Tensor:
     trans, start, end = crf._constrained_scores()
 
     # --- log partition: the batched forward algorithm ----------------
+    # _logsumexp's ops, with each step's residuals written in place into
+    # (L-1, B, T, T) and (L-1, B, 1, T) stacks for the backward.
+    steps = length - 1
+    xs = np.empty((steps, batch, num_tags, num_tags), dtype=DEFAULT_DTYPE)
+    exps = np.empty_like(xs)
+    peaks = np.empty((steps, batch, 1, num_tags), dtype=DEFAULT_DTYPE)
+    totals = np.empty_like(peaks)
+    live = np.broadcast_to((mask[:, 1:] > 0).T[:, :, None],
+                           (steps, batch, num_tags))
     alpha = start.reshape((1, num_tags)) + data[:, 0, :]
-    steps = []
-    for t in range(1, length):
-        scores = (
+    for s in range(steps):
+        np.add(
             alpha.reshape((batch, num_tags, 1))
-            + trans.reshape((1, num_tags, num_tags))
-        ) + data[:, t, :].reshape((batch, 1, num_tags))
-        new_alpha, residuals = _logsumexp(scores, axis=1)
-        live = np.broadcast_to(mask[:, t : t + 1] > 0, alpha.shape)
-        alpha = np.where(live, new_alpha.reshape((batch, num_tags)), alpha)
-        steps.append((residuals, live.astype(DEFAULT_DTYPE)))
+            + trans.reshape((1, num_tags, num_tags)),
+            data[:, s + 1, :].reshape((batch, 1, num_tags)), out=xs[s],
+        )
+        np.max(xs[s], axis=(1,), keepdims=True, out=peaks[s])
+        np.exp(np.subtract(xs[s], peaks[s], out=exps[s]), out=exps[s])
+        np.sum(exps[s], axis=(1,), keepdims=True, out=totals[s])
+        new_alpha = peaks[s] + np.log(totals[s])
+        alpha = np.where(live[s], new_alpha.reshape((batch, num_tags)), alpha)
+    lives = live.astype(DEFAULT_DTYPE)
     log_z, final = _logsumexp(alpha + end.reshape((1, num_tags)), axis=1)
 
     # --- gold path ---------------------------------------------------
@@ -236,22 +251,29 @@ def crf_nll_fused(crf, emissions, tags, mask) -> Tensor:
         d_emissions = np.zeros(data.shape, dtype=DEFAULT_DTYPE)
         d_trans = None
         g_alpha = g_final
-        for t in range(length - 1, 0, -1):
-            residuals, live = steps[t - 1]
-            g_scores = _logsumexp_vjp(
-                (g_alpha * live).reshape((batch, 1, num_tags)), residuals,
-                axis=1,
-            )
-            d_emissions[:, t, :] = _unbroadcast(
-                g_scores, (batch, 1, num_tags)
-            ).reshape((batch, num_tags))
-            step_trans = _unbroadcast(
-                g_scores, (1, num_tags, num_tags)
-            ).reshape((num_tags, num_tags))
-            d_trans = step_trans if d_trans is None else d_trans + step_trans
-            g_alpha = g_alpha * (1.0 - live) + _unbroadcast(
-                g_scores, (batch, num_tags, 1)
-            ).reshape((batch, num_tags))
+        if steps:
+            # Everything that depends on the residuals alone, for all
+            # steps at once: the tie-split masks and ``1 - live``.
+            ties = (xs == peaks).astype(DEFAULT_DTYPE)
+            ties = ties / ties.sum(axis=(2,), keepdims=True)
+            dead = 1.0 - lives
+            g_scores = np.empty_like(xs)
+            # Only the g_alpha recursion is sequential; each step is
+            # _logsumexp_vjp with its residuals indexed from the stacks.
+            for s in range(steps - 1, -1, -1):
+                g = (g_alpha * lives[s]).reshape((batch, 1, num_tags))
+                g_shifted = (g / totals[s]) * exps[s]
+                g_peak = g + (-g_shifted).sum(axis=(1,), keepdims=True)
+                np.add(g_shifted, g_peak * ties[s], out=g_scores[s])
+                g_alpha = g_alpha * dead[s] + g_scores[s].sum(axis=(2,))
+            # The emission and transition terms of every step, summed
+            # over the ``from`` tags and over the batch; the transition
+            # terms are then added from step L-1 down to 1.
+            d_emissions[:, 1:, :] = g_scores.sum(axis=(2,)).transpose(1, 0, 2)
+            step_trans = g_scores.sum(axis=(1,))
+            d_trans = step_trans[-1]
+            for s in range(steps - 2, -1, -1):
+                d_trans = d_trans + step_trans[s]
         d_start = _unbroadcast(g_alpha, (1, num_tags)).reshape((num_tags,))
         d_emissions[:, 0, :] = g_alpha
 

@@ -201,7 +201,7 @@ class GuardedStep:
         if reason is None:
             if self._snapshot is None:
                 self._take_snapshot()
-            clip_grad_norm(self.params, self.policy.grad_clip)
+            clip_grad_norm(self.params, self.policy.grad_clip, norm)
             self.optimizer.step()
             self.report.steps_taken += 1
             obs.count("guard.steps_taken")

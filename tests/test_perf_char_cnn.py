@@ -4,16 +4,21 @@
 by default and the per-width tape graph (``Conv1d`` → ``relu`` →
 ``max_``) under ``recurrent_kernel(False)``.  Both routes must agree
 with ``==`` on the output and on the gradients of the char-embedding
-weight and of every conv weight and bias.
+weight and of every conv weight and bias.  Under ``no_grad`` the fused
+route encodes only the distinct character-id rows and gathers them
+back; its output must be byte-equal to the kernel run on every row.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.autodiff.tensor import Tensor, grad, no_grad
 from repro.nn import CharCNN
 from repro.nn.module import override_params
 from repro.perf import recurrent_kernel
+from repro.perf.conv_kernels import char_cnn_fused, distinct_rows
 
 NUM_CHARS = 23
 
@@ -182,3 +187,80 @@ class TestInputShape:
         with recurrent_kernel(fused):
             with pytest.raises(ValueError, match="char ids must be"):
                 make_cnn()(ids)
+
+
+@st.composite
+def word_batches(draw):
+    """Char-id matrices full of what a batch holds: words repeated from
+    a small pool, all-pad rows, one word, all-identical words and rows
+    wider than the default 12 characters."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chars = draw(st.sampled_from([1, 3, 12, 13, 20]))
+    shape = draw(st.sampled_from(["mixed", "one", "identical", "pads"]))
+    words = 1 if shape == "one" else draw(st.integers(2, 40))
+    pool = ragged_ids(rng, draw(st.integers(1, 6)), chars)
+    ids = pool[rng.integers(0, len(pool), size=words)]
+    if shape == "identical":
+        ids[:] = ids[0]
+    elif shape == "pads":
+        ids[rng.random(words) < 0.5] = 0
+    elif shape == "mixed":
+        ids[rng.random(words) < 0.3] = 0
+        fresh = rng.random(words) < 0.3
+        ids[fresh] = ragged_ids(rng, int(fresh.sum()), chars)
+    return ids
+
+
+class TestDistinctRows:
+    """``CharCNN.forward`` under ``no_grad`` runs the kernel on the
+    distinct rows of a batch with pad cells; each word is its own GEMM,
+    so the bytes must equal the kernel on all rows."""
+
+    @seed(24)
+    @settings(max_examples=60, deadline=None)
+    @given(ids=word_batches(), cnn_seed=st.integers(0, 3))
+    def test_no_grad_output_is_byte_equal_to_all_rows(self, ids, cnn_seed):
+        cnn = make_cnn(seed=cnn_seed)
+        rows, inverse = distinct_rows(ids)
+        with no_grad():
+            routed = cnn(ids).data
+            every = char_cnn_fused(cnn.char_embedding(ids), cnn.convs).data
+            distinct = char_cnn_fused(cnn.char_embedding(rows),
+                                      cnn.convs).data[inverse]
+        assert routed.shape == every.shape == (len(ids), cnn.output_dim)
+        assert distinct.tobytes() == every.tobytes()
+        assert routed.tobytes() == every.tobytes()
+
+    @pytest.mark.parametrize("pads,calls", [(0, 0), (1, 1)])
+    def test_only_a_batch_with_pad_cells_takes_distinct_rows(
+            self, monkeypatch, pads, calls):
+        import repro.nn.conv as conv
+
+        seen = []
+        monkeypatch.setattr(conv, "distinct_rows",
+                            lambda ids: seen.append(ids) or distinct_rows(ids))
+        ids = ragged_ids(np.random.default_rng(15), 6, 5)
+        ids[:pads] = 0
+        with no_grad():
+            make_cnn()(ids)
+        make_cnn()(ids)  # recorded: all rows
+        assert len(seen) == calls
+
+    @seed(24)
+    @settings(max_examples=15, deadline=None)
+    @given(ids=word_batches())
+    def test_recorded_route_is_unchanged(self, ids):
+        cnn = make_cnn(seed=5)
+        outs, _grads = assert_routes_identical(cnn, [ids])
+        every = char_cnn_fused(cnn.char_embedding(ids), cnn.convs).data
+        assert outs[0].tobytes() == every.tobytes()
+        with no_grad():
+            assert cnn(ids).data.tobytes() == every.tobytes()
+
+    def test_pad_rows_collapse_to_one(self):
+        ids = ragged_ids(np.random.default_rng(14), 6, 5)
+        ids = np.concatenate([ids, ids, np.zeros((7, 5), dtype=ids.dtype)])
+        rows, inverse = distinct_rows(ids)
+        assert len(rows) == len({tuple(r) for r in ids})
+        assert np.array_equal(rows[inverse], ids)
+        assert len(set(inverse[-7:])) == 1

@@ -263,6 +263,51 @@ class TestFusedNLLBitIdentity:
                 history=True,
             )
 
+    def test_tenth_rounded_emissions_tie(self, rng):
+        """Emissions on a 0.1 grid with zero start and transition scores
+        tie in every step's ``from`` column: equal emissions give equal
+        forward scores.  The stacked tie-split masks must split them as
+        the graph's ``max_`` does."""
+        tied = 0
+        for _ in range(20):
+            _emissions, tags, mask, _lengths, num_tags = random_batch(rng)
+            emissions = np.round(
+                rng.integers(-3, 4, size=tags.shape + (num_tags,)) * 0.1, 1
+            )
+            crf = LinearChainCRF(num_tags, rng)
+            crf.transitions.data[:] = 0.0
+            crf.start_scores.data[:] = 0.0
+            assert_routes_identical(crf, emissions, tags, mask)
+            tied += any(len(set(row)) < num_tags for row in emissions[:, 0])
+        assert tied
+
+    @pytest.mark.parametrize("batch,length", [(1, 1), (1, 2), (1, 9),
+                                              (4, 1), (5, 2)])
+    def test_edge_shapes(self, rng, batch, length):
+        for _ in range(5):
+            emissions, tags, mask, _lengths, num_tags = random_batch(
+                rng, batch=batch, length=length
+            )
+            assert_routes_identical(
+                LinearChainCRF(num_tags, rng), np.round(emissions, 1),
+                tags, mask,
+            )
+
+    def test_ragged_masks(self, rng):
+        """Every row a different length, one row cut to a single token
+        and padded steps in the middle of the batch."""
+        for length in (2, 5, 11):
+            for _ in range(5):
+                emissions, tags, _mask, _lengths, num_tags = random_batch(
+                    rng, batch=length, length=length
+                )
+                lengths = rng.permutation(np.arange(1, length + 1))
+                mask = (np.arange(length)[None, :]
+                        < lengths[:, None]).astype(float)
+                assert_routes_identical(
+                    LinearChainCRF(num_tags, rng), emissions, tags, mask
+                )
+
     def test_length_one_leaves_transitions_without_gradient(self, rng):
         emissions, tags, mask, _lengths, num_tags = random_batch(
             rng, batch=3, length=1

@@ -238,6 +238,11 @@ class TestCommittedEvidence:
     def test_one_pass_per_episode_table_numbers_are_committed(self):
         assert self._committed_numbers_checked("One pass per episode") >= 130
 
+    def test_shared_work_in_meta_training_table_numbers_are_committed(self):
+        checked = self._committed_numbers_checked(
+            "Shared work in meta-training")
+        assert checked >= 130
+
 
 class TestPackagingHygiene:
     def test_all_packages_have_init(self):
