@@ -27,6 +27,8 @@ verify-golden:
 	    tests/test_perf_inner_loop.py \
 	    tests/test_perf_shared_pass.py \
 	    tests/test_perf_char_cnn.py::TestDistinctRows \
+	    tests/test_perf_char_cnn.py::TestOffTapeKernel \
+	    tests/test_perf_char_cnn.py::TestOffTapeRangeCheck \
 	    tests/test_perf_kernels.py::TestFusedNLLBitIdentity -q
 
 verify-executor:

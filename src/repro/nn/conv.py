@@ -23,7 +23,11 @@ from repro.autodiff.tensor import (
 )
 from repro.nn import init
 from repro.nn.module import Module, ModuleList, Parameter
-from repro.perf.conv_kernels import char_cnn_fused, distinct_rows
+from repro.perf.conv_kernels import (
+    char_cnn_from_ids,
+    char_cnn_fused,
+    distinct_rows,
+)
 from repro.perf.fastpath import recurrent_kernel_enabled
 
 
@@ -67,9 +71,13 @@ class Conv1d(Module):
                     f"input length {length} shorter than kernel {k} with "
                     "valid padding"
                 )
-        # Gather sliding windows: (batch, length_out, k, channels)
+        # Gather sliding windows: (batch, length_out, k, channels).  The
+        # explicit batch index keeps them in C order, so the matmul
+        # below sees the operand layout of the fused kernels even when
+        # the reshape is a view (one channel).
         idx = np.arange(length_out)[:, None] + np.arange(k)[None, :]
-        windows = getitem(x, (slice(None), idx, slice(None)))
+        windows = getitem(x, (np.arange(batch)[:, None, None], idx,
+                              slice(None)))
         flat = reshape(windows, (batch, length_out, k * self.in_channels))
         return matmul(flat, self.weight) + self.bias
 
@@ -88,8 +96,10 @@ class CharCNN(Module):
 
     By default the whole encoder after the embedding lookup runs as one
     fused tape node (:func:`repro.perf.conv_kernels.char_cnn_fused`,
-    bit-identical in output and gradients); under ``no_grad`` a batch
-    with pad cells runs it on its distinct character-id rows only.  Under
+    bit-identical in output and gradients); under ``no_grad`` it runs
+    off the tape from the character ids
+    (:func:`repro.perf.conv_kernels.char_cnn_from_ids`, the same bytes),
+    on a batch's distinct rows when it has pad cells.  Under
     :func:`repro.perf.fastpath.recurrent_kernel` ``(False)`` — the
     switch second-order work turns off around the fused encoder kernels
     — it runs on the tape through :class:`Conv1d`, ``relu`` and
@@ -124,17 +134,18 @@ class CharCNN(Module):
                 "char ids must be a (num_words, max_chars) matrix with "
                 f"max_chars >= 1, got shape {char_ids.shape}"
             )
-        pad = self.char_embedding.padding_idx
-        if (recurrent_kernel_enabled() and not is_grad_enabled()
-                and (char_ids[:, 0] == pad).any()):
-            # Off the tape a word's output depends on its own characters
-            # alone, so each distinct row is encoded once and gathered
-            # back.  Only a batch with pad cells (all one row) takes this
-            # route: a single sentence has none and few repeated words,
-            # so finding its distinct rows would cost more than it saves.
+        if recurrent_kernel_enabled() and not is_grad_enabled():
+            self.char_embedding.check_ids(char_ids)
+            table = self.char_embedding.weight.data
+            if not (char_ids[:, 0] == self.char_embedding.padding_idx).any():
+                return Tensor(char_cnn_from_ids(char_ids, table, self.convs))
+            # A word's output depends on its own characters alone, so each
+            # distinct row is encoded once and gathered back.  Only a
+            # batch with pad cells (all one row) takes this route: a
+            # single sentence has none and few repeated words, so finding
+            # its distinct rows would cost more than it saves.
             rows, inverse = distinct_rows(char_ids)
-            out = char_cnn_fused(self.char_embedding(rows), self.convs)
-            return Tensor(out.data[inverse])
+            return Tensor(char_cnn_from_ids(rows, table, self.convs)[inverse])
         emb = self.char_embedding(char_ids)  # (W, C, d)
         if recurrent_kernel_enabled():
             return char_cnn_fused(emb, self.convs)

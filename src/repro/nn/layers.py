@@ -61,13 +61,17 @@ class Embedding(Module):
             data[padding_idx] = 0.0
         self.weight = Parameter(data)
 
-    def forward(self, ids) -> Tensor:
-        ids = np.asarray(ids, dtype=np.intp)
+    def check_ids(self, ids: np.ndarray) -> None:
+        """Raise ``IndexError`` unless every id is in ``[0, num_embeddings)``."""
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
             raise IndexError(
                 f"embedding ids out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()}, max={ids.max()}"
             )
+
+    def forward(self, ids) -> Tensor:
+        ids = np.asarray(ids, dtype=np.intp)
+        self.check_ids(ids)
         return getitem(self.weight, ids)
 
     def __repr__(self) -> str:

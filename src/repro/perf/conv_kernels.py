@@ -31,18 +31,36 @@ The output and every gradient are bit-identical to the tape route:
   order the tape's reverse sweep sums them: ``(d₂ + d₃) + d₄`` for
   widths ``(2, 3, 4)``.
 
-Under ``no_grad`` nothing is kept for the backward (no window copies,
-no masks), and ``CharCNN.forward`` hands the kernel only the distinct
-character-id rows of a batch with pad cells (:func:`distinct_rows`;
-every pad cell is the same all-zero row) and gathers the output back.
-The matmul is one ``(C, k·d) @ (k·d, F)`` GEMM per word, so a word's
-output bytes do not depend on the other words of its call.
-
 The backward runs outside the tape, so it is first-order only:
 differentiating through it with ``create_graph=True`` raises
 ``RuntimeError``.  Second-order work runs under
 :func:`repro.perf.fastpath.recurrent_kernel` ``(False)``, which also
 routes the char-CNN back to the tape.
+
+Off the tape
+------------
+:func:`char_cnn_from_ids` is the forward alone, read straight from the
+character ids and the embedding table, in blocks of at most
+:data:`BLOCK_WORDS` words.  Its output bytes equal
+:func:`char_cnn_fused`'s:
+
+* one fancy-index into the table with a zero row appended gathers each
+  word's widest windows (the ``"same"`` padding indexes the zero row);
+  a narrower width's windows are the columns at its ``"same"`` offset,
+  so every width runs the same ``(W, C, k·d) @ (k·d, F)`` matmul on the
+  same values;
+* the max over characters is taken on the matmul output, then the bias
+  is added and relu applied.  ``fl(x + b)`` is monotone in ``x`` and
+  relu commutes with max, so a positive result is the same float.  When
+  no character is positive, every relu output is a zero and
+  ``np.maximum`` returns the second of two equal operands (the tests
+  pin this), so the recorded max is the last character's zero, which
+  is taken as is.
+
+The matmul is one ``(C, k·d) @ (k·d, F)`` GEMM per word, so a word's
+output bytes do not depend on the other words of its call or block, and
+``CharCNN.forward`` may run it on a padded batch's distinct rows
+(:func:`distinct_rows`) and gather the output back.
 """
 
 from __future__ import annotations
@@ -50,10 +68,15 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.autodiff.tensor import DEFAULT_DTYPE, Tensor, _make, is_grad_enabled
+from repro.autodiff.tensor import DEFAULT_DTYPE, Tensor, _make
 from repro.perf.rnn_kernels import _fused_vjps
 
-__all__ = ["char_cnn_fused", "distinct_rows"]
+__all__ = ["BLOCK_WORDS", "char_cnn_fused", "char_cnn_from_ids",
+           "distinct_rows"]
+
+#: Words per block of :func:`char_cnn_from_ids`: it bounds the window
+#: array a large batch allocates at once.
+BLOCK_WORDS = 256
 
 _SECOND_ORDER_MSG = (
     "the fused char-CNN is first-order only: its backward runs outside "
@@ -103,7 +126,6 @@ def char_cnn_fused(emb: Tensor, convs) -> Tensor:
     # ``override_params`` exits must use the weights the forward used.
     params = [(conv.kernel_size, conv.weight, conv.bias) for conv in convs]
     parents = (emb,) + tuple(t for _k, w, b in params for t in (w, b))
-    record = is_grad_enabled() and any(p.requires_grad for p in parents)
 
     pooled = []
     stash = []
@@ -120,13 +142,11 @@ def char_cnn_fused(emb: Tensor, convs) -> Tensor:
         feat = lin * relu_mask
         peak = feat.max(axis=(1,), keepdims=True)
         pooled.append(np.squeeze(peak, axis=(1,)))
-        if record:
-            stash.append((k, flat, weight.data, relu_mask, feat, peak))
-        # Free this width's arrays before the next width allocates.
-        del windows, flat, lin, relu_mask, feat
+        stash.append((k, flat, weight.data, relu_mask, feat, peak))
+        # The backward does not keep ``lin``: free it before the next
+        # width allocates.
+        del lin
     out = np.concatenate(pooled, axis=-1)
-    if not record:
-        return Tensor(out)
 
     def backward(g: np.ndarray):
         d_emb = None
@@ -150,3 +170,40 @@ def char_cnn_fused(emb: Tensor, convs) -> Tensor:
     return _make(
         out, parents, _fused_vjps(backward, len(parents), _SECOND_ORDER_MSG)
     )
+
+
+def char_cnn_from_ids(char_ids: np.ndarray, table: np.ndarray,
+                      convs) -> np.ndarray:
+    """:func:`char_cnn_fused`'s output for ``(W, C)`` in-range character
+    ids, read from the ``(num_chars, d)`` embedding ``table``; no tape."""
+    words, chars = char_ids.shape
+    num_chars, dim = table.shape
+    widest = max(conv.kernel_size for conv in convs)
+    lead = (widest - 1) // 2
+    table = np.concatenate([table, np.zeros((1, dim), dtype=table.dtype)])
+    offsets = np.arange(chars)[:, None] + np.arange(widest)
+    widths = [(conv.kernel_size, conv.weight.data, conv.bias.data)
+              for conv in convs]
+    out = np.empty((words, sum(w.shape[1] for _k, w, _b in widths)),
+                   dtype=table.dtype)
+    for lo in range(0, words, BLOCK_WORDS):
+        block = char_ids[lo:lo + BLOCK_WORDS]
+        padded = np.full((len(block), chars + widest - 1), num_chars)
+        padded[:, lead:lead + chars] = block
+        # ``take`` keeps the window ids, and so the gathered windows, in
+        # C order: the ``(B, C, k·d)`` operand has the recorded strides.
+        windows = table[np.take(padded, offsets, axis=1)].reshape(
+            (len(block), chars, widest * dim))
+        col = 0
+        for k, weight, bias in widths:
+            start = (lead - (k - 1) // 2) * dim
+            raw = windows[:, :, start:start + k * dim] @ weight  # (B, C, F)
+            peak = raw[:, 0].copy()
+            for c in range(1, chars):
+                np.maximum(peak, raw[:, c], out=peak)
+            lin = peak + bias
+            last = (raw[:, -1] + bias) * 0.0
+            out[lo:lo + len(block), col:col + weight.shape[1]] = np.where(
+                lin <= 0, last, lin)
+            col += weight.shape[1]
+    return out

@@ -5,8 +5,10 @@ by default and the per-width tape graph (``Conv1d`` → ``relu`` →
 ``max_``) under ``recurrent_kernel(False)``.  Both routes must agree
 with ``==`` on the output and on the gradients of the char-embedding
 weight and of every conv weight and bias.  Under ``no_grad`` the fused
-route encodes only the distinct character-id rows and gathers them
-back; its output must be byte-equal to the kernel run on every row.
+route runs :func:`repro.perf.conv_kernels.char_cnn_from_ids` instead,
+straight from the character ids, on a padded batch's distinct rows;
+its output must be byte-equal to the recorded kernel on every row and
+to the tape.
 """
 
 import numpy as np
@@ -18,7 +20,13 @@ from repro.autodiff.tensor import Tensor, grad, no_grad
 from repro.nn import CharCNN
 from repro.nn.module import override_params
 from repro.perf import recurrent_kernel
-from repro.perf.conv_kernels import char_cnn_fused, distinct_rows
+import repro.perf.conv_kernels as conv_kernels
+from repro.perf.conv_kernels import (
+    BLOCK_WORDS,
+    char_cnn_from_ids,
+    char_cnn_fused,
+    distinct_rows,
+)
 
 NUM_CHARS = 23
 
@@ -111,6 +119,16 @@ class TestParity:
         ids = ragged_ids(rng, 5, 6)
         assert_routes_identical(make_cnn(widths=(1, 3, 5), filters=6), [ids])
         assert_routes_identical(make_cnn(widths=(3,), filters=4), [ids])
+
+    def test_one_channel_and_one_filter_per_width(self):
+        # One channel makes the tape's window reshape a view, and one
+        # filter makes the matmul a matrix-vector product, whose bytes
+        # follow the operand's layout.
+        rng = np.random.default_rng(19)
+        ids = ragged_ids(rng, 6, 5)
+        assert_routes_identical(make_cnn(char_dim=1, filters=3), [ids])
+        assert_routes_identical(
+            make_cnn(char_dim=1, filters=2, widths=(1, 5)), [ids])
 
     def test_several_calls_in_one_backward(self):
         rng = np.random.default_rng(7)
@@ -264,3 +282,169 @@ class TestDistinctRows:
         assert len(rows) == len({tuple(r) for r in ids})
         assert np.array_equal(rows[inverse], ids)
         assert len(set(inverse[-7:])) == 1
+
+
+def routes(cnn, ids):
+    """Output bytes of the off-tape kernel, the ``no_grad`` forward, the
+    recorded kernel and the tape, in that order."""
+    table = cnn.char_embedding.weight.data
+    off = char_cnn_from_ids(np.asarray(ids, dtype=np.intp), table, cnn.convs)
+    with no_grad():
+        routed = cnn(ids).data
+    recorded = char_cnn_fused(cnn.char_embedding(ids), cnn.convs)
+    assert recorded._node is not None
+    with recurrent_kernel(False):
+        tape = cnn(ids)
+    assert tape._node is not None
+    return [a.tobytes() for a in (off, routed, recorded.data, tape.data)]
+
+
+def assert_off_tape_identical(cnn, ids):
+    off, routed, recorded, tape = routes(cnn, ids)
+    assert off == recorded
+    assert routed == recorded
+    assert tape == recorded
+
+
+@st.composite
+def off_tape_cases(draw):
+    """A CharCNN with a nonzero pad row (or the fresh zero one), biases
+    of every sign, weights on a coarse grid (so maxima tie and lins hit
+    exact zeros) or not, and an id matrix of ragged words, all-pad rows,
+    one-char words and words of exactly ``max_chars``, up to more than
+    one block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = draw(st.sampled_from([(2, 3, 4), (3,), (1, 5)]))
+    per_width = draw(st.integers(1, 4))
+    cnn = CharCNN(NUM_CHARS, draw(st.integers(1, 4)), per_width * len(widths),
+                  rng, widths=widths)
+    step = draw(st.sampled_from([None, 0.25, 0.5]))
+    bias = draw(st.sampled_from(["zero", "negative", "positive", "mixed"]))
+    for conv in cnn.convs:
+        conv.weight.data = rng.normal(size=conv.weight.shape)
+        conv.bias.data = {
+            "zero": np.zeros(per_width),
+            "negative": -rng.uniform(0.1, 1.0, per_width),
+            "positive": rng.uniform(0.1, 1.0, per_width),
+            "mixed": rng.normal(size=per_width),
+        }[bias]
+    if draw(st.booleans()):
+        cnn.char_embedding.weight.data[0] = rng.normal(
+            size=cnn.char_embedding.embedding_dim)
+    if step is not None:
+        quantise(cnn, step)
+    chars = draw(st.sampled_from([1, 2, 5, 12]))
+    words = draw(st.sampled_from(
+        [1, draw(st.integers(2, 40)), BLOCK_WORDS + draw(st.integers(1, 40))]))
+    alphabet = draw(st.sampled_from([3, NUM_CHARS]))
+    ids = rng.integers(1, alphabet, size=(words, chars))
+    lengths = rng.choice([0, 1, chars, *range(1, chars + 1)], size=words)
+    ids[np.arange(chars)[None, :] >= lengths[:, None]] = 0
+    return cnn, ids
+
+
+class TestOffTapeKernel:
+    """``char_cnn_from_ids`` takes the max over characters before the
+    bias and relu, and gathers each block's windows in one index; its
+    bytes must equal the recorded kernel's and the tape's."""
+
+    @seed(25)
+    @settings(max_examples=80, deadline=None)
+    @given(case=off_tape_cases())
+    def test_bytes_equal_the_recorded_kernel_and_the_tape(self, case):
+        cnn, ids = case
+        assert_off_tape_identical(cnn, ids)
+
+    def test_zero_results_keep_the_recorded_sign(self):
+        # Character 1 embeds to 0.0 and character 2 to -1.0, so with a
+        # zero bias a word's lins are exact zeros and negatives.  The
+        # recorded max returns the last character's zero, -0.0 after a
+        # negative lin and 0.0 after a zero one; relu(max + bias) would
+        # give 0.0 for both words.
+        cnn = make_cnn(char_dim=1, filters=1, widths=(1,))
+        cnn.char_embedding.weight.data[:] = 0.0
+        cnn.char_embedding.weight.data[2] = -1.0
+        cnn.convs[0].weight.data[:] = 1.0
+        ids = np.array([[1, 2], [2, 1]])
+        assert_off_tape_identical(cnn, ids)
+        with no_grad():
+            out = cnn(ids).data
+        assert not out.any()
+        assert np.signbit(out).any() and not np.signbit(out).all()
+
+    def test_tied_maxima_from_quantised_weights(self):
+        cnn = make_cnn(seed=3, char_dim=3, filters=6)
+        quantise(cnn)
+        cnn.char_embedding.weight.data[0] = 0.5
+        ids = ragged_ids(np.random.default_rng(3), 30, 9) % 4
+        assert_off_tape_identical(cnn, ids)
+        raw = char_cnn_fused(cnn.char_embedding(ids), cnn.convs[:1]).data
+        feat = np.maximum(cnn.convs[0](cnn.char_embedding(ids)).data, 0.0)
+        assert ((feat == raw[:, None]).sum(axis=1) > 1).any()
+
+    @pytest.mark.parametrize("ids", [
+        np.zeros((4, 6), dtype=np.intp),
+        np.full((3, 1), 5),
+        np.arange(1, 13).reshape(1, 12),
+    ], ids=["all-pad", "one-char", "one-full-word"])
+    def test_edge_batches(self, ids):
+        cnn = make_cnn(seed=4)
+        cnn.char_embedding.weight.data[0] = 0.3
+        assert_off_tape_identical(cnn, ids)
+
+    def test_blocks_do_not_change_a_byte(self, monkeypatch):
+        cnn = make_cnn(seed=5)
+        ids = ragged_ids(np.random.default_rng(5), 2 * BLOCK_WORDS + 3, 7)
+        table = cnn.char_embedding.weight.data
+        whole = char_cnn_from_ids(ids, table, cnn.convs).tobytes()
+        for block in (1, 7, len(ids)):
+            monkeypatch.setattr(conv_kernels, "BLOCK_WORDS", block)
+            assert char_cnn_from_ids(ids, table, cnn.convs).tobytes() == whole
+        monkeypatch.undo()
+        assert_off_tape_identical(cnn, ids)
+
+    @pytest.mark.parametrize("grad_on", [False, True], ids=["no_grad", "grad"])
+    def test_route_by_tape_state_and_switch(self, monkeypatch, grad_on):
+        import repro.nn.conv as conv
+
+        calls = []
+        for name in ("char_cnn_from_ids", "char_cnn_fused"):
+            kernel = getattr(conv, name)
+            monkeypatch.setattr(
+                conv, name,
+                lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
+        cnn = make_cnn()
+        padded = ragged_ids(np.random.default_rng(16), 6, 5)
+        padded[0] = 0
+        full = np.random.default_rng(17).integers(1, NUM_CHARS, size=(6, 5))
+        for ids in (padded, full):
+            if grad_on:
+                cnn(ids)
+            else:
+                with no_grad():
+                    cnn(ids)
+            with recurrent_kernel(False), no_grad():
+                cnn(ids)
+        expected = "char_cnn_fused" if grad_on else "char_cnn_from_ids"
+        assert calls == [expected, expected]
+
+
+class TestOffTapeRangeCheck:
+    """The off-tape route reads the embedding table directly, so it must
+    raise ``Embedding.forward``'s ``IndexError`` itself."""
+
+    @pytest.mark.parametrize("bad", [-1, NUM_CHARS, NUM_CHARS + 7])
+    @pytest.mark.parametrize("pads", [False, True],
+                             ids=["all-rows", "distinct-rows"])
+    def test_out_of_range_ids_raise_the_same_error(self, bad, pads):
+        ids = ragged_ids(np.random.default_rng(18), 5, 6)
+        if not pads:
+            ids[:, 0] = 1
+        ids[2, 1] = bad
+        cnn = make_cnn()
+        with pytest.raises(IndexError) as on_tape:
+            cnn(ids)
+        with no_grad(), pytest.raises(IndexError) as off_tape:
+            cnn(ids)
+        assert str(off_tape.value) == str(on_tape.value)
+        assert "out of range [0, 23)" in str(off_tape.value)

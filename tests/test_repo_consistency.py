@@ -243,6 +243,9 @@ class TestCommittedEvidence:
             "Shared work in meta-training")
         assert checked >= 130
 
+    def test_off_tape_char_cnn_table_numbers_are_committed(self):
+        assert self._committed_numbers_checked("Off-tape char-CNN") >= 150
+
 
 class TestPackagingHygiene:
     def test_all_packages_have_init(self):
