@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-tables-smoke examples lint verify-kernels verify-golden verify-executor verify-reliability verify-serving verify-gateway verify-overload verify-chaos verify-obs verify-trace
+.PHONY: install test bench bench-smoke bench-tables-smoke examples lint verify-kernels verify-golden verify-executor verify-reliability verify-serving verify-gateway verify-chaos verify-obs verify-trace
 
 install:
 	$(PYTHON) setup.py develop
@@ -62,17 +62,10 @@ verify-gateway:
 	    tests/test_serving_gateway.py \
 	    tests/test_serving_gateway_fleet.py \
 	    tests/test_serving_loadgen.py \
+	    tests/test_serving_priority.py \
 	    tests/test_obs_fleet.py -q
 	PYTHONPATH=src $(PYTHON) -m repro chaos soak \
 	    --scenario gateway-replica-kill --max-rounds 2 \
-	    --time-budget-s 120 --seed 0
-
-verify-overload:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_serving_overload.py \
-	    tests/test_serving_overload_service.py \
-	    tests/test_serving_overload_gateway.py -q
-	PYTHONPATH=src $(PYTHON) -m repro chaos soak \
-	    --scenario overload-storm --max-rounds 2 \
 	    --time-budget-s 120 --seed 0
 
 verify-chaos:

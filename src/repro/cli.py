@@ -75,8 +75,8 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--flight-dir", default=None, metavar="DIR",
                         help="arm the in-memory flight recorder; recent "
                              "events are dumped to DIR/flight-<pid>.jsonl "
-                             "on breaker-open, brownout escalation or "
-                             "replica death (works without --telemetry)")
+                             "on breaker-open or replica death (works "
+                             "without --telemetry)")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -369,20 +369,12 @@ def cmd_tag(args: argparse.Namespace) -> int:
     return 0
 
 
-def _overload_config(args):
-    """The shared :class:`OverloadConfig` when ``--overload`` is set."""
-    from repro.serving import OverloadConfig
-
-    return OverloadConfig() if getattr(args, "overload", False) else None
-
-
 def _gateway_factory(args):
     """Build the per-replica service factory (and fail fast in the
     parent if the checkpoint is unusable)."""
     from repro.serving import ServiceConfig, TaggingService
 
-    config = ServiceConfig(default_deadline_ms=args.deadline_ms,
-                           overload=_overload_config(args))
+    config = ServiceConfig(default_deadline_ms=args.deadline_ms)
     # Load once in the parent: surfaces checkpoint errors before any
     # replica forks, and the model is inherited copy-on-write.
     probe = TaggingService.from_checkpoint(args.checkpoint, config=config)
@@ -416,8 +408,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         factory,
         GatewayConfig(replicas=args.replicas,
                       max_shard_queue=args.max_shard_queue,
-                      hedge_after_ms=args.hedge_after_ms,
-                      overload=_overload_config(args)),
+                      hedge_after_ms=args.hedge_after_ms),
         backend=args.backend,
         telemetry_path=getattr(args, "telemetry", None),
     )
@@ -482,8 +473,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         gateway = ShardedGateway(
             factory,
             GatewayConfig(replicas=args.replicas,
-                          max_shard_queue=args.max_shard_queue,
-                          overload=_overload_config(args)),
+                          max_shard_queue=args.max_shard_queue),
             backend=args.backend,
             telemetry_path=getattr(args, "telemetry", None),
         )
@@ -721,10 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "in-flight latency (default: off)")
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="per-request decode budget in milliseconds")
-    p.add_argument("--overload", action="store_true",
-                   help="enable adaptive overload control (priority "
-                        "admission, CoDel queues, AIMD concurrency, "
-                        "retry budget, brownout ladder)")
     p.add_argument("--rolling-reload", action="store_true",
                    help="run a rolling drain/swap/readmit reload while "
                         "serving (demonstrates zero-loss reload)")
@@ -760,10 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-shard-queue", type=int, default=64)
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="per-request decode budget in milliseconds")
-    p.add_argument("--overload", action="store_true",
-                   help="enable adaptive overload control (priority "
-                        "admission, CoDel queues, AIMD concurrency, "
-                        "retry budget, brownout ladder)")
     p.add_argument("--priority-mix", default=None, metavar="SPEC",
                    help="attach priority classes to the synthetic "
                         "traffic and report per-class SLOs, e.g. "

@@ -10,8 +10,6 @@ function exactly.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.autodiff.functional import logsumexp
@@ -306,72 +304,6 @@ class LinearChainCRF(Module):
                 scores = scores + end
             tags.append(int(scores.argmax()))
         return tags
-
-    def viterbi_top_k(self, emissions: np.ndarray, k: int = 3) -> list[tuple[list[int], float]]:
-        """The ``k`` best tag sequences with their scores (best first).
-
-        List-Viterbi where each DP cell keeps its k best incoming partial
-        paths, found with a heap-based k-way merge of the per-predecessor
-        candidate streams: each predecessor beam is already sorted
-        best-first and its extensions shift every score by the same
-        constant, so the merge pops exactly k winners instead of sorting
-        all ``T * k`` candidates.  Tie-breaking matches the full-sort
-        scan it replaced (kept as the test oracle in
-        ``tests/reference/crf.py``): equal scores prefer the smaller
-        previous tag, then the better rank within its beam.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        emissions = self._check_emissions(emissions)
-        length, num_tags = emissions.shape
-        trans, start, end = self._constrained_scores()
-        # beams[tag] = list of (score, path) kept sorted best-first.
-        beams: list[list[tuple[float, list[int]]]] = [
-            [(float(start[t] + emissions[0, t]), [t])] for t in range(num_tags)
-        ]
-        for step in range(1, length):
-            new_beams: list[list[tuple[float, list[int]]]] = []
-            for tag in range(num_tags):
-                # Stream heads: best extension from each predecessor beam.
-                heap = [
-                    (
-                        -(beams[prev][0][0] + trans[prev, tag]
-                          + emissions[step, tag]),
-                        prev,
-                        0,
-                    )
-                    for prev in range(num_tags)
-                ]
-                heapq.heapify(heap)
-                kept: list[tuple[float, list[int]]] = []
-                while heap and len(kept) < k:
-                    neg_score, prev, rank = heapq.heappop(heap)
-                    kept.append((-neg_score, beams[prev][rank][1] + [tag]))
-                    if rank + 1 < len(beams[prev]):
-                        heapq.heappush(
-                            heap,
-                            (
-                                -(beams[prev][rank + 1][0] + trans[prev, tag]
-                                  + emissions[step, tag]),
-                                prev,
-                                rank + 1,
-                            ),
-                        )
-                new_beams.append(kept)
-            beams = new_beams
-        finals = [
-            (
-                -(beams[tag][rank][0] + float(end[tag])),
-                tag,
-                rank,
-            )
-            for tag in range(num_tags)
-            for rank in range(len(beams[tag]))
-        ]
-        return [
-            (beams[tag][rank][1], -neg_score)
-            for neg_score, tag, rank in heapq.nsmallest(k, finals)
-        ]
 
     def marginals(self, emissions: Tensor) -> np.ndarray:
         """Posterior tag marginals ``(L, T)`` via forward-backward (numpy)."""

@@ -273,44 +273,3 @@ class FewNER(Adapter):
         if steps is None:
             steps = self.config.inner_steps_test
         return self._inner_adapt(episode, steps, create_graph=False).detach()
-
-    # ------------------------------------------------------------------
-    def fit_with_validation(self, sampler: EpisodeSampler,
-                            validation_episodes, iterations: int,
-                            chunk: int = 10) -> dict:
-        """Meta-train with validation-based model selection.
-
-        The paper holds out validation type/domain splits; this utility
-        uses them: training runs in chunks, the model is scored on the
-        fixed ``validation_episodes`` after each chunk, and the best
-        checkpoint (by mean validation F1) is restored at the end.
-
-        Returns a history dict with per-chunk losses and validation F1.
-        """
-        from repro.meta.evaluate import evaluate_method
-
-        if chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
-        history: dict = {"losses": [], "val_f1": []}
-        best_f1 = -1.0
-        best_state = self.model.state_dict()
-        remaining = iterations
-        while remaining > 0:
-            step = min(chunk, remaining)
-            history["losses"].extend(self.fit(sampler, step))
-            # Only the first fit call runs the supervised warm-up.
-            if self.config.pretrain_iterations:
-                import dataclasses
-
-                self.config = dataclasses.replace(
-                    self.config, pretrain_iterations=0
-                )
-            result = evaluate_method(self, validation_episodes)
-            history["val_f1"].append(result.f1)
-            if result.f1 > best_f1:
-                best_f1 = result.f1
-                best_state = self.model.state_dict()
-            remaining -= step
-        self.model.load_state_dict(best_state)
-        history["best_val_f1"] = best_f1
-        return history

@@ -361,19 +361,7 @@ def build_report(records: list[dict]) -> dict:
                     "hedges_won", "deaths", "wedges", "rebuilds", "reloads",
                     "breaker_transitions")
     }
-    gauges = metrics["gauges"]
-    overload = {
-        "level": gauges.get("overload.level"),
-        "transitions": counters.get("overload.transitions", 0),
-        "shed": {
-            name: counters.get(f"overload.shed.{name}", 0)
-            for name in ("interactive", "standard", "batch")
-        },
-        "expired": counters.get("serving.expired", 0),
-        "hedges_denied": counters.get("gateway.hedges_denied", 0),
-        "evictions": counters.get("gateway.evictions", 0),
-        "retry_budget_balance": gauges.get("retry_budget.balance"),
-    }
+    serving = {"expired": counters.get("serving.expired", 0)}
     traces = assemble_traces(records)
     trace_section = {
         "count": len(traces),
@@ -392,7 +380,7 @@ def build_report(records: list[dict]) -> dict:
         "executor": executor,
         "cache": cache,
         "gateway": gateway,
-        "overload": overload,
+        "serving": serving,
         "traces": trace_section,
         "metrics": metrics,
         "events": events,
@@ -469,23 +457,9 @@ def render_report(report: dict) -> str:
             "breaker transitions {breaker_transitions}".format(**gateway)
         )
 
-    overload = report.get("overload", {})
-    shed = overload.get("shed", {})
-    if (overload.get("transitions") or any(shed.values())
-            or overload.get("expired") or overload.get("hedges_denied")):
-        balance = overload.get("retry_budget_balance")
-        level = overload.get("level")
-        lines.append(
-            f"  overload: level {int(level) if level is not None else 0} "
-            f"({overload.get('transitions', 0)} transitions), shed "
-            f"interactive={shed.get('interactive', 0)} "
-            f"standard={shed.get('standard', 0)} "
-            f"batch={shed.get('batch', 0)}, "
-            f"expired {overload.get('expired', 0)}, "
-            f"hedges denied {overload.get('hedges_denied', 0)}, "
-            f"evictions {overload.get('evictions', 0)}"
-            + (f", retry budget {balance:g}" if balance is not None else "")
-        )
+    expired = report.get("serving", {}).get("expired")
+    if expired:
+        lines.append(f"  serving: {expired} expired before decode")
 
     cache = report.get("cache", {})
     if cache.get("hit_rate") is not None:

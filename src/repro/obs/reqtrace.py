@@ -18,7 +18,7 @@ over the existing JSONL event streams:
   streams back into one cross-process timeline per trace.
 * :class:`FlightRecorder` — a bounded in-memory ring of recent events
   that dumps to ``flight-<pid>.jsonl`` on incidents (breaker open,
-  brownout escalation, replica crash/rebuild) so post-mortem forensics
+  replica crash/rebuild) so post-mortem forensics
   work even when full telemetry was off.
 
 Hot-path discipline matches ``repro.obs``: every helper starts with a
@@ -47,7 +47,7 @@ TRACE_EVENT = "trace.hop"
 #: process measures ``t`` from its own session start), so stitching
 #: must never compare ``t`` across files.
 HOPS = ("admit", "route", "queue", "hedge", "dispatch",
-        "decode", "evict", "shed", "expire", "respond")
+        "decode", "shed", "expire", "respond")
 HOP_ORDER = {name: index for index, name in enumerate(HOPS)}
 
 #: Hops that end a request's life: delivered, dropped, or timed out.
@@ -163,14 +163,11 @@ class FlightRecorder:
     same history.
     """
 
-    def __init__(self, directory: str, capacity: int = 256,
-                 brownout_level: int = 2):
+    def __init__(self, directory: str, capacity: int = 256):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.directory = str(directory)
         self.capacity = int(capacity)
-        #: brownout pressure at/above which an escalation dumps the ring.
-        self.brownout_level = int(brownout_level)
         self._ring: deque = deque(maxlen=self.capacity)
         self._seq = 0
         self.dumps = 0
@@ -214,13 +211,11 @@ def flight_active() -> FlightRecorder | None:
 
 
 @contextmanager
-def flight_recorder(directory: str, capacity: int = 256,
-                    brownout_level: int = 2):
+def flight_recorder(directory: str, capacity: int = 256):
     """Install a process-wide flight recorder for the block."""
     global _FLIGHT
     previous = _FLIGHT
-    recorder = FlightRecorder(directory, capacity=capacity,
-                              brownout_level=brownout_level)
+    recorder = FlightRecorder(directory, capacity=capacity)
     _FLIGHT = recorder
     try:
         yield recorder
@@ -244,8 +239,7 @@ def record(name: str, **fields) -> None:
 def incident(reason: str, **fields) -> str | None:
     """Record an incident and dump the ring; returns the dump path.
 
-    Called at breaker-open, brownout escalation past the recorder's
-    configured level, replica crash, and SIGKILL-survivor rebuild.
+    Called at breaker-open, replica crash, and SIGKILL-survivor rebuild.
     """
     recorder = _FLIGHT
     if recorder is None:

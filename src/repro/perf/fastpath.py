@@ -31,6 +31,14 @@ to turn it off:
   them is rejected at backprop time, so second-order MAML runs under
   ``recurrent_kernel(False)``.
 
+The two stay separate because their second-order users differ.
+FEWNER with ``second_order`` (the ``paper`` preset: ``inner_loss="crf"``)
+differentiates twice only with respect to φ, downstream of the encoder,
+so it turns off the fused NLL but keeps the fused encoder kernels.  One
+shared switch would put its encoder back on the tape and make each
+second-order ``fit`` two to three times slower (measured in
+``docs/performance.md``, "Switches").
+
 Both switches are thread-local; a forked worker process inherits the
 state its parent had at fork time.
 """

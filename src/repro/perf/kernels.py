@@ -30,12 +30,6 @@ import numpy as np
 
 from repro.autodiff.tensor import DEFAULT_DTYPE, Tensor, _make, scatter_array
 from repro.perf.rnn_kernels import _fused_vjps
-from repro.perf.rnn_kernels import (  # noqa: F401  (recurrent fast paths, re-exported)
-    bigru_forward_batch,
-    bilstm_forward_batch,
-    gru_forward_batch,
-    lstm_forward_batch,
-)
 
 
 def _as_array(emissions) -> np.ndarray:

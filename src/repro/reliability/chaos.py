@@ -859,158 +859,6 @@ def _run_gateway_replica_kill(seed, check):
 
 
 @_scenario(
-    "overload-storm",
-    "mixed-priority open-loop burst over slow-decode replicas: the "
-    "brownout ladder escalates (batch shed first, interactive last), "
-    "retries stay inside the token budget, and full Viterbi fidelity — "
-    "bit-identical to a single-process oracle — resumes after the storm",
-)
-def _run_overload_storm(seed, check):
-    import numpy as np
-
-    from repro.data.tags import TagScheme
-    from repro.data.vocab import CharVocabulary, Vocabulary
-    from repro.models.backbone import BackboneConfig, CNNBiGRUCRF
-    from repro.reliability.faults import FaultInjector
-    from repro.serving import (
-        BATCH, INTERACTIVE, STANDARD, ManualClock, OverloadConfig,
-        ServiceConfig, TaggingService, assign_priorities,
-    )
-    from repro.serving.gateway import GatewayConfig, ShardedGateway
-    from repro.serving.loadgen import run_load, synthetic_requests
-
-    pool = ("the", "visited", "today", "reports", "arrived",
-            "Kavox", "Zuqev", "Mirelle")
-    scheme = TagScheme(("0", "1"))
-    model = CNNBiGRUCRF(Vocabulary(pool), CharVocabulary(pool),
-                        scheme.num_tags, BackboneConfig(),
-                        np.random.default_rng(seed), tag_names=scheme.tags)
-    clock = ManualClock()
-    ocfg = OverloadConfig(
-        codel_target_ms=40.0, codel_interval_ms=100.0,
-        ladder_interval_ms=100.0, escalate_miss_rate=0.4,
-        recover_miss_rate=0.1, recover_intervals=1,
-        initial_inflight=4, max_inflight=8,
-        retry_ratio=0.1, retry_floor=1.0, retry_cap=4.0,
-    )
-    injectors: dict[int, FaultInjector] = {}
-
-    def factory(replica_id):
-        # Each replica decodes 60 ms per Viterbi attempt for its first 30
-        # attempts (the storm), then runs clean — against a 25 ms deadline
-        # every full-fidelity decode during the storm is a miss.  The
-        # binary breaker is parked out of the way so the *ladder* is the
-        # control under test.
-        injector = FaultInjector(slow_decode_s=0.06, slow_decode_for=30,
-                                 clock=clock)
-        injectors[replica_id] = injector
-        return TaggingService(
-            model, scheme,
-            ServiceConfig(default_deadline_ms=25, max_pending=64,
-                          breaker_threshold=1000, overload=ocfg),
-            clock=clock, fault_injector=injector,
-        )
-
-    # Undegraded answers must match this fault-free, deadline-free twin.
-    oracle = TaggingService(model, scheme)
-    requests = synthetic_requests(120, seed=seed, pool=pool)
-    priorities = assign_priorities(
-        len(requests),
-        {INTERACTIVE: 0.25, STANDARD: 0.4, BATCH: 0.35}, seed=seed,
-    )
-    gateway = ShardedGateway(
-        factory,
-        GatewayConfig(replicas=2, max_shard_queue=128,
-                      hedge_after_ms=50.0, overload=ocfg),
-        backend="in-process", clock=clock,
-        service_time_s=lambda tokens, ticket: 0.08,
-    )
-    try:
-        storm = run_load(gateway, requests, model="open", rate_rps=300.0,
-                         seed=seed, priorities=priorities)
-        peak = gateway.health().get("overload", {})
-        peak_level = max(
-            (ladder["max_level"] for ladder in peak.get("ladders", ())),
-            default=0,
-        )
-
-        # Calm phase: injectors are spent, so windows run clean; drive
-        # light probe traffic until every replica ladder steps back to 0.
-        probes = synthetic_requests(8, seed=seed + 1, pool=pool)
-        recovered = False
-        for _ in range(300):
-            snap = gateway.health().get("overload", {})
-            ladders = snap.get("ladders", ())
-            if ladders and all(l["level"] == 0 for l in ladders):
-                recovered = True
-                break
-            clock.advance(0.12)
-            gateway.tag_many(probes, priority=INTERACTIVE, timeout_s=30.0)
-
-        # Full-fidelity check: fresh requests, no storm, no degradation.
-        finale = synthetic_requests(12, seed=seed + 2, pool=pool)
-        answers = gateway.tag_many(finale, deadline_ms=None,
-                                   priority=INTERACTIVE, timeout_s=60.0)
-        report = gateway.report
-    finally:
-        gateway.shutdown()
-
-    check("storm-misses-injected",
-          all(inj.decode_calls >= inj.slow_decode_for
-              for inj in injectors.values()),
-          f"decode calls per replica: "
-          f"{ {i: inj.decode_calls for i, inj in injectors.items()} }")
-    check("ladder-escalated", peak_level >= 3,
-          f"peak brownout level {peak_level} (batch shed starts at 3)")
-    check("ladder-fully-recovered", recovered,
-          f"final ladders: {peak.get('ladders')}")
-    per = storm.per_priority or {}
-    batch = per.get(BATCH, {})
-    interactive = per.get(INTERACTIVE, {})
-    check("storm-answered-every-ticket",
-          storm.offered == len(requests)
-          and (storm.completed + storm.shed + storm.rejected
-               + storm.expired) == storm.offered,
-          f"offered={storm.offered} completed={storm.completed} "
-          f"shed={storm.shed} rejected={storm.rejected} "
-          f"expired={storm.expired}")
-    check("no-priority-inversion",
-          batch.get("shed", 0) > 0
-          and interactive.get("completed", 0) > 0
-          and batch.get("shed_rate", 0.0)
-          >= interactive.get("shed_rate", 1.0),
-          f"batch shed_rate={batch.get('shed_rate')} "
-          f"interactive shed_rate={interactive.get('shed_rate')}")
-    check("interactive-p99-bounded",
-          interactive.get("p99_ms", float("inf")) <= 2500.0,
-          f"interactive p99 <= {interactive.get('p99_ms')} ms")
-    budget_cap = ocfg.retry_floor + ocfg.retry_ratio * report.completed
-    check("retry-volume-under-budget",
-          report.hedges <= budget_cap + 1e-9,
-          f"hedges={report.hedges} cap={budget_cap:.1f} "
-          f"(completed={report.completed})")
-    check("hedges-actually-rationed", report.hedges_denied > 0,
-          f"hedges_denied={report.hedges_denied}")
-    check("every-admitted-request-completed",
-          report.completed == report.admitted,
-          f"admitted={report.admitted} completed={report.completed}")
-    mismatched = [
-        i for i, (toks, res) in enumerate(zip(finale, answers))
-        if not res.ok or res.degraded
-        or res.spans != oracle.tag(list(toks)).spans
-    ]
-    check("full-fidelity-resumes-bit-identical",
-          not mismatched,
-          f"{len(mismatched)} of {len(finale)} post-storm answers "
-          f"degraded or differ from oracle: {mismatched}")
-    return {
-        "peak_level": peak_level,
-        "storm": storm.summary(),
-        **report.summary(),
-    }
-
-
-@_scenario(
     "trace-determinism",
     "two same-seed traced runs on a manual clock, hedges and a replica "
     "kill included: every request assembles into one complete trace, "

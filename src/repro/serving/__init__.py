@@ -51,23 +51,13 @@ from repro.serving.gateway import (
     ShardedGateway,
 )
 from repro.serving.loadgen import SLOReport, run_load, synthetic_requests
-from repro.serving.overload import (
+from repro.serving.priority import (
     BATCH,
     INTERACTIVE,
-    MODE_FULL,
-    MODE_GREEDY,
-    MODE_SHED,
-    MODES,
     PRIORITIES,
     PRIORITY_RANK,
     STANDARD,
-    AIMDLimiter,
-    BrownoutLadder,
-    CoDelController,
-    OverloadConfig,
-    RetryBudget,
     assign_priorities,
-    mode_for,
     parse_priority_mix,
 )
 from repro.serving.routing import HashRing, request_key
@@ -115,21 +105,11 @@ __all__ = [
     "ServiceConfig",
     "TaggingService",
     "TagResult",
-    "OverloadConfig",
-    "AIMDLimiter",
-    "BrownoutLadder",
-    "CoDelController",
-    "RetryBudget",
     "INTERACTIVE",
     "STANDARD",
     "BATCH",
     "PRIORITIES",
     "PRIORITY_RANK",
-    "MODES",
-    "MODE_FULL",
-    "MODE_GREEDY",
-    "MODE_SHED",
-    "mode_for",
     "parse_priority_mix",
     "assign_priorities",
 ]

@@ -60,17 +60,7 @@ from repro.serving.replica import (
     ProcessReplica,
     fork_available,
 )
-from repro.serving.overload import (
-    PRIORITIES,
-    PRIORITY_RANK,
-    STANDARD,
-    AIMDLimiter,
-    CoDelController,
-    OverloadConfig,
-    RetryBudget,
-    deadline_missed,
-    validate_priority,
-)
+from repro.serving.priority import PRIORITIES, STANDARD, validate_priority
 from repro.serving.routing import HashRing, request_key
 from repro.serving.service import Overloaded
 
@@ -119,9 +109,6 @@ class GatewayConfig:
     seed: int = 0
     #: Sleep between supervision passes in :meth:`ShardedGateway.drain`.
     poll_interval_s: float = 0.002
-    #: Overload-control knobs (AIMD limiter, CoDel staleness shedding,
-    #: retry budget, priority eviction); ``None`` = legacy behaviour.
-    overload: OverloadConfig | None = None
 
     def __post_init__(self):
         if self.replicas < 1:
@@ -178,19 +165,6 @@ class GatewayReport:
     admitted: int = 0
     completed: int = 0
     shed: int = 0
-    #: Already-admitted tickets shed out of a shard queue (CoDel
-    #: staleness, priority eviction); these still count as completed —
-    #: the caller gets an Overloaded answer, never silence.
-    shed_queued: int = 0
-    #: Hedge launches refused by the retry budget.
-    hedges_denied: int = 0
-    #: Queued tickets evicted to make room for higher-priority arrivals.
-    evictions: int = 0
-    #: Gateway-side sheds broken down by priority class (overload only).
-    shed_by_priority: dict = field(default_factory=dict)
-    #: Overload-control state at shutdown (retry budget, limiter caps,
-    #: per-replica brownout ladders when visible).
-    overload: dict = field(default_factory=dict)
     #: In-flight tickets requeued off dead/wedged replicas, uncharged.
     refunds: int = 0
     #: Queued (not yet dispatched) tickets rerouted off a draining or
@@ -237,11 +211,6 @@ class GatewayReport:
             "admitted": self.admitted,
             "completed": self.completed,
             "shed": self.shed,
-            "shed_queued": self.shed_queued,
-            "hedges_denied": self.hedges_denied,
-            "evictions": self.evictions,
-            "shed_by_priority": dict(self.shed_by_priority),
-            "overload": dict(self.overload),
             "refunds": self.refunds,
             "rerouted": self.rerouted,
             "hedges": self.hedges,
@@ -266,11 +235,6 @@ class GatewayReport:
                 f"rebuilds={self.rebuilds} refunds={self.refunds} "
                 f"reloads={self.reloads} "
                 f"breaker_transitions={self.breaker_transitions}")
-        if self.overload:
-            line += (f"\noverload: shed_queued={self.shed_queued} "
-                     f"evictions={self.evictions} "
-                     f"hedges_denied={self.hedges_denied} "
-                     f"shed_by_priority={dict(self.shed_by_priority)}")
         if self.queue_wait:
             parts = []
             for name in ("interactive", "standard", "batch"):
@@ -316,9 +280,6 @@ class _Shard:
         self.state = READY
         self.queue: collections.deque[int] = collections.deque()
         self.inflight: dict[int, float] = {}
-        #: Overload control (set by the gateway when enabled).
-        self.limiter: AIMDLimiter | None = None
-        self.codel: CoDelController | None = None
         self.served = 0
         self.deaths = 0
         self.rebuilds = 0
@@ -408,21 +369,6 @@ class ShardedGateway:
                 on_transition=self._make_breaker_observer(i),
             )
             self._shards.append(_Shard(i, handle, breaker))
-        self._overload = self.config.overload
-        if self._overload is not None:
-            self._retry_budget = RetryBudget(
-                self._overload.retry_ratio, floor=self._overload.retry_floor,
-                cap=self._overload.retry_cap,
-            )
-            self.report.shed_by_priority = {name: 0 for name in PRIORITIES}
-            for shard in self._shards:
-                shard.limiter = AIMDLimiter(self._overload, clock=clock)
-                shard.codel = CoDelController(
-                    self._overload.codel_target_ms,
-                    self._overload.codel_interval_ms, clock=clock,
-                )
-        else:
-            self._retry_budget = None
         self._closed = False
         for shard in self._shards:
             shard.handle.start()
@@ -440,7 +386,6 @@ class ShardedGateway:
         if self._closed:
             return
         self._closed = True
-        self.report.overload = self._overload_snapshot()
         self.report.queue_wait = self._queue_wait_stats()
         for shard in self._shards:
             shard.handle.stop()
@@ -467,28 +412,6 @@ class ShardedGateway:
         name = f"gateway.queue_wait_ms.{priority}"
         self.metrics.histogram(name).observe(wait_ms, trace_id)
         obs.observe(name, wait_ms, trace_id=trace_id)
-
-    def _overload_snapshot(self) -> dict:
-        """Overload-control state: budget, limiter caps, replica ladders."""
-        if self._overload is None:
-            return {}
-        snap = {
-            "retry_budget": self._retry_budget.snapshot(),
-            "inflight_limits": {
-                shard.id: shard.limiter.limit for shard in self._shards
-            },
-            "codel_drops": sum(shard.codel.drops for shard in self._shards),
-            "shed_by_priority": dict(self.report.shed_by_priority),
-        }
-        ladders = []
-        for shard in self._shards:
-            service = getattr(shard.handle, "service", None)
-            ladder = getattr(service, "overload_snapshot", lambda: None)()
-            if ladder is not None:
-                ladders.append({"replica": shard.id, **ladder})
-        if ladders:
-            snap["ladders"] = ladders
-        return snap
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -524,16 +447,6 @@ class ShardedGateway:
             self.metrics.gauge(
                 f"gateway.replica.{shard.id}.queue_depth"
             ).set(shard.load)
-            if shard.limiter is not None:
-                self.metrics.gauge(
-                    f"gateway.replica.{shard.id}.inflight_limit"
-                ).set(shard.limiter.limit)
-                obs.set_gauge(f"gateway.replica.{shard.id}.inflight_limit",
-                              shard.limiter.limit)
-        if self._retry_budget is not None:
-            balance = round(self._retry_budget.balance, 4)
-            self.metrics.gauge("retry_budget.balance").set(balance)
-            obs.set_gauge("retry_budget.balance", balance)
         self.report.per_replica = [s.status() for s in self._shards]
 
     # ------------------------------------------------------------------
@@ -541,13 +454,7 @@ class ShardedGateway:
     # ------------------------------------------------------------------
     def submit(self, tokens: Sequence[str], deadline_ms=_UNSET,
                priority: str = STANDARD) -> int:
-        """Admit (or shed) one request; returns its ticket.
-
-        With overload control enabled, a full fleet first tries to evict
-        a strictly-lower-priority queued ticket before shedding the
-        arrival — interactive work is never turned away while batch work
-        is still waiting.
-        """
+        """Admit (or shed) one request; returns its ticket."""
         ticket = self._next_ticket
         self._next_ticket += 1
         request = _Request(
@@ -562,13 +469,11 @@ class ShardedGateway:
                    if reqtrace.tracing_enabled() else None),
         )
         shard = self._choose_shard(request)
-        if shard is None and self._overload is not None:
-            shard = self._evict_for(request)
         if shard is None:
             self._shed_ticket(
                 ticket, request,
                 "no replica can take the request "
-                "(queues full or fleet unhealthy)", queued=False,
+                "(queues full or fleet unhealthy)",
             )
             return ticket
         self.report.admitted += 1
@@ -583,25 +488,19 @@ class ShardedGateway:
                          where="gateway", replica=shard.id, attempt=0)
         return ticket
 
-    def _shed_ticket(self, ticket: int, request: _Request | None,
-                     reason: str, *, queued: bool) -> None:
-        """Deliver a gateway-side shed with full stats parity.
+    def _shed_ticket(self, ticket: int, request: _Request,
+                     reason: str) -> None:
+        """Deliver a gateway-side admission shed with full stats parity.
 
         Sheds never reach a replica, so the gateway itself records the
         ``serving.shed`` counter and the ``serving.queue_wait_ms``
         observation — identically for both replica backends — keeping
         fleet-merged ``repro obs report`` counts honest (drops would
-        otherwise be invisible with forked replicas).  Queued sheds of
-        already-admitted tickets also count as completed: the caller
-        gets an answer, never silence.
+        otherwise be invisible with forked replicas).
         """
-        wait_ms = 0.0
-        priority = STANDARD
-        trace = None
-        if request is not None:
-            wait_ms = max(0.0, (self.clock() - request.submitted_at) * 1000.0)
-            priority = request.priority
-            trace = request.trace
+        wait_ms = max(0.0, (self.clock() - request.submitted_at) * 1000.0)
+        priority = request.priority
+        trace = request.trace
         self.report.shed += 1
         self._count("shed")
         self.metrics.counter("serving.shed").inc()
@@ -609,61 +508,15 @@ class ShardedGateway:
         self.metrics.histogram("serving.queue_wait_ms").observe(wait_ms, trace)
         obs.observe("serving.queue_wait_ms", wait_ms, trace_id=trace)
         self._observe_queue_wait(priority, wait_ms, trace)
-        if self._overload is not None:
-            self.report.shed_by_priority[priority] += 1
-            self.metrics.counter(f"overload.shed.{priority}").inc()
-            obs.count(f"overload.shed.{priority}")
-        if queued:
-            self.report.shed_queued += 1
-            self.report.completed += 1
-            self._count("completed")
         if trace is not None:
             reqtrace.hop(trace, "shed", ticket=ticket, where="gateway",
                          priority=priority, wait_ms=round(wait_ms, 3),
-                         queued=queued)
+                         queued=False)
         self._done[ticket] = RoutedResult(
             ticket, Overloaded(reason, queue_wait_ms=wait_ms),
             replica=None, latency_ms=wait_ms, priority=priority,
             trace=trace,
         )
-
-    def _evict_for(self, request: _Request) -> _Shard | None:
-        """Free a queue slot for ``request`` by evicting lower priority.
-
-        Scans routable shards for the freshest queued ticket of the
-        lowest priority class present; evicts it only when it ranks
-        strictly below the arrival.  Returns the shard with the freed
-        slot (the arrival is admitted there), or ``None``.
-        """
-        worst: tuple[int, int, _Shard] | None = None
-        for shard in self._shards:
-            if not self._routable(shard):
-                continue
-            for ticket in shard.queue:
-                queued = self._requests.get(ticket)
-                if queued is None or ticket in self._done:
-                    continue
-                rank = PRIORITY_RANK[queued.priority]
-                if worst is None or (rank, ticket) > worst[:2]:
-                    worst = (rank, ticket, shard)
-        if worst is None or worst[0] <= PRIORITY_RANK[request.priority]:
-            return None
-        _rank, victim, shard = worst
-        shard.queue.remove(victim)
-        victim_request = self._requests.get(victim)
-        if victim_request is not None:
-            victim_request.inflight_on.discard(shard.id)
-            if victim_request.trace is not None:
-                reqtrace.hop(victim_request.trace, "evict", ticket=victim,
-                             where="gateway", by=request.priority)
-        self.report.evictions += 1
-        self._count("evictions")
-        self._shed_ticket(
-            victim, victim_request,
-            f"evicted by a {request.priority} arrival while queued",
-            queued=True,
-        )
-        return shard
 
     def _routable(self, shard: _Shard, exclude: Iterable[int] = ()) -> bool:
         return (shard.state == READY and shard.handle.alive()
@@ -710,11 +563,6 @@ class ShardedGateway:
             self._count("refunds")
         else:
             self.report.rerouted += 1
-        if self._retry_budget is not None:
-            # Failover reroutes overdraw the budget rather than being
-            # denied: the zero-loss promise to admitted tickets wins,
-            # but the spend is recorded so the ledger still balances.
-            self._retry_budget.try_spend(forced=True)
         request.requeues += 1
         request.first_sent_at = None
         shard = self._choose_shard(request, exclude=request.inflight_on,
@@ -903,13 +751,6 @@ class ShardedGateway:
                                        bounded=False)
             if shard is None:
                 continue  # nobody to hedge to; the primary keeps the job
-            if (self._retry_budget is not None
-                    and not self._retry_budget.try_spend()):
-                # Budget empty: the hedge waits for deposits from fresh
-                # successes; during a storm it simply never launches.
-                self.report.hedges_denied += 1
-                self._count("hedges_denied")
-                continue
             request.hedged = True
             request.hedge_shard = shard.id
             self.report.hedges += 1
@@ -951,12 +792,7 @@ class ShardedGateway:
             if shard.state != READY or not shard.handle.alive():
                 continue
             while shard.queue:
-                if (shard.limiter is not None
-                        and len(shard.inflight) >= shard.limiter.limit):
-                    break  # AIMD cap: leave the rest queued this pass
-                if shard.codel is not None and self._codel_police(shard, now):
-                    continue  # one stale ticket shed; re-check the queue
-                ticket = self._pop_next(shard)
+                ticket = shard.queue.popleft()
                 if ticket in self._done:
                     continue  # answered elsewhere while queued
                 request = self._requests[ticket]
@@ -982,69 +818,6 @@ class ShardedGateway:
                                   request.deadline_ms,
                                   priority=request.priority,
                                   trace=request.trace)
-
-    def _pop_next(self, shard: _Shard) -> int:
-        """Next ticket to dispatch: FIFO, or priority-ordered under
-        overload control (highest class first, FIFO within a class)."""
-        if self._overload is None:
-            return shard.queue.popleft()
-        best_index = 0
-        best_rank = None
-        for index, ticket in enumerate(shard.queue):
-            request = self._requests.get(ticket)
-            rank = (PRIORITY_RANK[request.priority]
-                    if request is not None else -1)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best_index = index
-                if rank <= 0:
-                    break  # nothing outranks the head of this class
-        ticket = shard.queue[best_index]
-        del shard.queue[best_index]
-        return ticket
-
-    def _codel_police(self, shard: _Shard, now: float) -> bool:
-        """CoDel staleness check on the shard queue's FIFO head.
-
-        When the head has been standing past the CoDel target for a full
-        interval, one ticket is shed — the freshest ticket of the
-        *lowest* priority class present (the head itself only when
-        nothing ranks below it), so staleness pressure lands on batch
-        work first.  Returns True when a ticket was shed.
-        """
-        while shard.queue and shard.queue[0] in self._done:
-            shard.queue.popleft()  # answered elsewhere; not head-of-line
-        if not shard.queue:
-            return False
-        head = self._requests.get(shard.queue[0])
-        if head is None:
-            shard.queue.popleft()
-            return True
-        sojourn_ms = max(0.0, (now - head.submitted_at) * 1000.0)
-        if not shard.codel.offer(sojourn_ms):
-            return False
-        worst = max(
-            range(len(shard.queue)),
-            key=lambda i: (
-                PRIORITY_RANK.get(
-                    getattr(self._requests.get(shard.queue[i]), "priority",
-                            STANDARD), 1),
-                shard.queue[i],
-            ),
-        )
-        victim = shard.queue[worst]
-        del shard.queue[worst]
-        request = self._requests.get(victim)
-        if request is not None:
-            request.inflight_on.discard(shard.id)
-        self._shed_ticket(
-            victim, request,
-            "queue standing beyond CoDel target; stale request shed",
-            queued=True,
-        )
-        if shard.limiter is not None:
-            shard.limiter.on_congestion()
-        return True
 
     def _collect(self) -> int:
         delivered = 0
@@ -1072,18 +845,6 @@ class ShardedGateway:
                 shard.breaker.record_success()
                 self.report.completed += 1
                 self._count("completed")
-                if self._retry_budget is not None \
-                        and getattr(result, "ok", False):
-                    self._retry_budget.on_success()
-                if shard.limiter is not None:
-                    # Deadline misses and replica-side sheds are the
-                    # congestion signal the AIMD limiter reacts to.
-                    if (deadline_missed(result)
-                            or getattr(result, "status", "")
-                            == "overloaded"):
-                        shard.limiter.on_congestion()
-                    else:
-                        shard.limiter.on_success()
                 self.metrics.histogram("gateway.latency_ms").observe(
                     latency_ms, request.trace
                 )
@@ -1185,6 +946,4 @@ class ShardedGateway:
             "queue_wait": self._queue_wait_stats(),
             "per_replica": statuses,
         }
-        if self._overload is not None:
-            health["overload"] = self._overload_snapshot()
         return health

@@ -156,7 +156,7 @@ def run_load(gateway, requests, model: str = "open",
     ``outstanding``).  On a manual clock the generator *advances* time
     instead of sleeping, so open-loop schedules are exact and tests are
     instant.  ``priorities`` (one class per request, e.g. from
-    :func:`repro.serving.overload.assign_priorities`) attaches priority
+    :func:`repro.serving.priority.assign_priorities`) attaches priority
     classes and switches on the per-class breakdown in the report.
     Returns the :class:`SLOReport`; per-request latencies are also
     mirrored into the active telemetry session as the

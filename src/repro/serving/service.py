@@ -32,7 +32,6 @@ passes through, by design.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Sequence
@@ -53,18 +52,7 @@ from repro.obs import reqtrace
 from repro.obs.metrics import MetricsRegistry
 from repro.serving.breaker import OPEN, CircuitBreaker
 from repro.serving.deadline import Clock, Deadline
-from repro.serving.overload import (
-    MODE_FULL,
-    MODE_GREEDY,
-    MODE_SHED,
-    PRIORITIES,
-    PRIORITY_RANK,
-    STANDARD,
-    BrownoutLadder,
-    CoDelController,
-    OverloadConfig,
-    validate_priority,
-)
+from repro.serving.priority import STANDARD, validate_priority
 from repro.serving.sanitize import InvalidRequest, RequestSanitizer, SanitizerConfig
 
 _UNSET = object()
@@ -179,9 +167,6 @@ class ServiceConfig:
     breaker_threshold: int = 3
     #: Cool-down before a tripped breaker half-opens.
     breaker_cooldown_ms: float = 1000.0
-    #: Overload-control knobs; ``None`` keeps the legacy binary
-    #: shed-at-max-pending behaviour bit-for-bit.
-    overload: OverloadConfig | None = None
 
     def __post_init__(self):
         if self.max_batch_size < 1:
@@ -200,7 +185,7 @@ class _Pending:
     modified: bool
     #: Service-clock time of admission (queue-wait measurement origin).
     admitted_at: float = 0.0
-    #: Priority class (overload control); ``standard`` when unset.
+    #: Priority class; ``standard`` when unset.
     priority: str = STANDARD
     #: Request-trace id carried from gateway admission (``None`` = untraced).
     trace: str | None = None
@@ -243,20 +228,6 @@ class TaggingService:
             "served": 0, "degraded": 0, "invalid": 0, "shed": 0,
             "decode_errors": 0, "batches": 0, "expired": 0,
         }
-        if self.config.overload is not None:
-            self.ladder = BrownoutLadder(
-                self.config.overload, clock=clock,
-                on_transition=self._on_overload_transition,
-            )
-            self.codel = CoDelController(
-                self.config.overload.codel_target_ms,
-                self.config.overload.codel_interval_ms, clock=clock,
-            )
-            self.overload_sheds = {name: 0 for name in PRIORITIES}
-        else:
-            self.ladder = None
-            self.codel = None
-            self.overload_sheds = None
         #: Per-instance metrics (two services never share counters); the
         #: active telemetry session, when any, gets mirrored updates.
         self.metrics = MetricsRegistry()
@@ -280,50 +251,6 @@ class TaggingService:
         if new == OPEN:
             reqtrace.incident("breaker_open", old=old,
                               trips=breaker.trips)
-
-    def _on_overload_transition(self, old: int, new: int,
-                                miss_rate: float) -> None:
-        self.metrics.gauge("overload.level").set(new)
-        obs.set_gauge("overload.level", new)
-        self.metrics.counter("overload.transitions").inc()
-        obs.count("overload.transitions")
-        obs.emit("overload", old=old, new=new, miss_rate=round(miss_rate, 4))
-        reqtrace.record("overload", old=old, new=new)
-        recorder = reqtrace.flight_active()
-        if recorder is not None and new > old \
-                and new >= recorder.brownout_level:
-            reqtrace.incident("brownout_escalation", old=old, new=new)
-
-    def _shed(self, ticket: int, priority: str, reason: str,
-              wait_ms: float = 0.0, trace: str | None = None) -> None:
-        """Record one shed: result, ledger, and per-priority counters."""
-        self._bump("shed")
-        if self.overload_sheds is not None:
-            self.overload_sheds[priority] += 1
-            self.metrics.counter(f"overload.shed.{priority}").inc()
-            obs.count(f"overload.shed.{priority}")
-        self._done[ticket] = Overloaded(reason, queue_wait_ms=wait_ms)
-        if trace is not None:
-            reqtrace.hop(trace, "shed", ticket=ticket, where="service",
-                         priority=priority, wait_ms=round(wait_ms, 3))
-
-    def _expire(self, ticket: int, reason: str, wait_ms: float = 0.0,
-                trace: str | None = None) -> None:
-        self._bump("expired")
-        self._done[ticket] = Expired(reason, queue_wait_ms=wait_ms)
-        if trace is not None:
-            reqtrace.hop(trace, "expire", ticket=ticket, where="service",
-                         wait_ms=round(wait_ms, 3))
-
-    def overload_snapshot(self) -> dict | None:
-        """Ladder/CoDel/shed state for health checks and reports."""
-        if self.ladder is None:
-            return None
-        snap = self.ladder.snapshot()
-        snap["codel_drops"] = self.codel.drops
-        snap["shed_by_priority"] = dict(self.overload_sheds)
-        snap["expired"] = self.stats["expired"]
-        return snap
 
     # ------------------------------------------------------------------
     # Checkpoint loading
@@ -401,29 +328,19 @@ class TaggingService:
         queue for :meth:`drain` is part of its budget.  A request that
         arrives with its budget already spent (``deadline_ms <= 0``) is
         failed immediately with an :class:`Expired` result rather than
-        wasting a decode slot.  With overload control enabled, admission
-        is priority-weighted: the brownout ladder may shed the class
-        outright, and a full queue evicts strictly-lower-priority work
-        before shedding the arrival.
+        wasting a decode slot.
         """
         priority = validate_priority(priority)
         trace = reqtrace.wire_id(trace)
         ticket = self._next_ticket
         self._next_ticket += 1
-        if self.ladder is not None and self.ladder.mode(priority) == MODE_SHED:
-            self._shed(
-                ticket, priority,
-                f"brownout: {priority} traffic shed at level "
-                f"{self.ladder.pressure}", trace=trace,
-            )
-            return ticket
-        if len(self._pending) >= self.config.max_pending \
-                and not self._evict_for(priority):
-            self._shed(
-                ticket, priority,
-                f"queue full ({self.config.max_pending} pending requests)",
-                trace=trace,
-            )
+        if len(self._pending) >= self.config.max_pending:
+            self._bump("shed")
+            self._done[ticket] = Overloaded(
+                f"queue full ({self.config.max_pending} pending requests)")
+            if trace is not None:
+                reqtrace.hop(trace, "shed", ticket=ticket, where="service",
+                             priority=priority, wait_ms=0.0)
             return ticket
         try:
             clean = self.sanitizer.sanitize(tokens)
@@ -439,8 +356,12 @@ class TaggingService:
             if deadline_ms is _UNSET else deadline_ms
         )
         if budget is not None and budget <= 0:
-            self._expire(ticket, "deadline budget already spent at admission",
-                         trace=trace)
+            self._bump("expired")
+            self._done[ticket] = Expired(
+                "deadline budget already spent at admission")
+            if trace is not None:
+                reqtrace.hop(trace, "expire", ticket=ticket,
+                             where="service", wait_ms=0.0)
             return ticket
         deadline = (
             Deadline.after_ms(budget, clock=self.clock)
@@ -457,35 +378,6 @@ class TaggingService:
                          priority=priority, depth=len(self._pending))
         return ticket
 
-    def _evict_for(self, priority: str) -> bool:
-        """Try to free a queue slot for an arrival of ``priority``.
-
-        Evicts the freshest, lowest-priority queued request when it ranks
-        strictly below the arrival — batch never displaces interactive,
-        and nothing evicts within its own class.  Returns True when a
-        slot was freed.
-        """
-        if self.ladder is None or not self._pending:
-            return False
-        worst = max(
-            range(len(self._pending)),
-            key=lambda i: (PRIORITY_RANK[self._pending[i].priority], i),
-        )
-        victim = self._pending[worst]
-        if PRIORITY_RANK[victim.priority] <= PRIORITY_RANK[priority]:
-            return False
-        del self._pending[worst]
-        wait_ms = max(0.0, (self.clock() - victim.admitted_at) * 1000.0)
-        self._observe_ms("serving.queue_wait_ms", wait_ms,
-                         trace_id=victim.trace)
-        if victim.trace is not None:
-            reqtrace.hop(victim.trace, "evict", ticket=victim.key,
-                         where="service", by=priority)
-        self._shed(victim.key, victim.priority,
-                   f"evicted by a {priority} arrival while queued",
-                   wait_ms=wait_ms, trace=victim.trace)
-        return True
-
     def drain(self) -> dict[int, TagResult | Rejected | Overloaded]:
         """Process all queued work and hand back every finished result.
 
@@ -496,44 +388,10 @@ class TaggingService:
         pending, self._pending = self._pending, []
         self.metrics.gauge("serving.queue_depth").set(0)
         obs.set_gauge("serving.queue_depth", 0)
-        if self.ladder is not None:
-            self.ladder.tick()
-            pending = self._police_queue(pending)
         for batch in self._micro_batches(pending):
             self._process_batch(batch)
         done, self._done = self._done, {}
         return done
-
-    def _police_queue(self, pending: list[_Pending]) -> list[_Pending]:
-        """Overload-control pass over the queue before batching.
-
-        Fails requests whose deadline expired while they waited and runs
-        the CoDel staleness discipline over the rest; the survivors keep
-        their FIFO order (:meth:`_micro_batches` orders them by class).
-        Both expiries and CoDel drops count as deadline misses for the
-        brownout ladder — they are symptoms of a standing queue.
-        """
-        survivors: list[_Pending] = []
-        for item in pending:
-            wait_ms = max(0.0, (self.clock() - item.admitted_at) * 1000.0)
-            if item.deadline is not None and item.deadline.expired:
-                self._observe_ms("serving.queue_wait_ms", wait_ms,
-                                 trace_id=item.trace)
-                self._expire(item.key, "deadline expired while queued",
-                             wait_ms=wait_ms, trace=item.trace)
-                self.ladder.observe(True)
-                continue
-            if self.codel.offer(wait_ms):
-                self._observe_ms("serving.queue_wait_ms", wait_ms,
-                                 trace_id=item.trace)
-                self._shed(item.key, item.priority,
-                           "queue standing beyond CoDel target; "
-                           "stale request shed", wait_ms=wait_ms,
-                           trace=item.trace)
-                self.ladder.observe(True)
-                continue
-            survivors.append(item)
-        return survivors
 
     # ------------------------------------------------------------------
     # Pipeline internals
@@ -543,19 +401,12 @@ class TaggingService:
 
         One stable sort by token count groups sentences of similar
         length, so a batch pads little, and keeps FIFO order among equal
-        lengths.  With overload control on, the sort leads with the
-        priority class, highest first, and no batch spans two classes,
-        so the brownout mode is uniform across the batch.
+        lengths.
         """
-        def rank(item: _Pending) -> int:
-            return 0 if self.ladder is None else PRIORITY_RANK[item.priority]
-
-        ordered = sorted(pending, key=lambda it: (rank(it), len(it.sentence)))
+        ordered = sorted(pending, key=lambda it: len(it.sentence))
         size = self.config.max_batch_size
-        for _rank, group in itertools.groupby(ordered, key=rank):
-            group = list(group)
-            for i in range(0, len(group), size):
-                yield group[i : i + size]
+        for i in range(0, len(ordered), size):
+            yield ordered[i : i + size]
 
     def _batch_deadline(self, batch: list[_Pending]) -> Deadline | None:
         """The tightest member deadline governs the whole micro-batch.
@@ -606,20 +457,6 @@ class TaggingService:
         for p in batch:
             self._observe_ms("serving.queue_wait_ms", waits[p.key],
                              trace_id=p.trace)
-        # Batches are single-priority when overload control is on, so
-        # one ladder lookup fixes the brownout mode for the whole batch.
-        mode = (
-            self.ladder.mode(batch[0].priority)
-            if self.ladder is not None else MODE_FULL
-        )
-        if mode == MODE_SHED:
-            # The ladder escalated between admission and drain.
-            for p in batch:
-                self._shed(p.key, p.priority,
-                           f"brownout: {p.priority} traffic shed at level "
-                           f"{self.ladder.pressure}", wait_ms=waits[p.key],
-                           trace=p.trace)
-            return
         sentences = [p.sentence for p in batch]
         try:
             if self._injector is not None:
@@ -629,15 +466,10 @@ class TaggingService:
             # No injector → no per-sentence hook, which lets the decoder
             # take its batched bulk path when the deadline allows.
             on_sentence = self._on_decode if self._injector is not None else None
-            # A browned-out batch goes straight to greedy without
-            # consulting the breaker: consuming its half-open probe for
-            # work the ladder already downgraded would waste the probe.
             paths, statuses = self.model.decode_within(
                 sentences, phi=self.phi, deadline=deadline,
                 on_sentence=on_sentence,
-                allow_viterbi=(
-                    self.breaker.allow() if mode == MODE_FULL else False
-                ),
+                allow_viterbi=self.breaker.allow(),
             )
         except Exception as exc:  # encoding/emissions failed outright
             decode_ms = (self.clock() - decode_started) * 1000.0
@@ -657,8 +489,6 @@ class TaggingService:
                 )
                 self._trace_served(p, waits[p.key], "error", degraded=True,
                                    decode_ms=decode_ms)
-                if self.ladder is not None:
-                    self.ladder.observe(True)
             return
         decode_ms = (self.clock() - decode_started) * 1000.0
         self._observe_ms("serving.decode_ms", decode_ms)
@@ -675,9 +505,6 @@ class TaggingService:
             if degraded:
                 self._bump("degraded")
             note = _STATUS_NOTES.get(status)
-            if mode == MODE_GREEDY and status == DEGRADED_BREAKER:
-                note = (f"brownout: greedy decode served "
-                        f"(level {self.ladder.pressure})")
             spans = tuple(
                 (start, end, label)
                 for start, end, label in self.scheme.decode(path)
@@ -690,5 +517,3 @@ class TaggingService:
             )
             self._trace_served(p, waits[p.key], status, degraded=degraded,
                                decode_ms=decode_ms)
-            if self.ladder is not None:
-                self.ladder.observe(status in (OVERRUN, DEGRADED_DEADLINE))

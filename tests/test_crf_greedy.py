@@ -104,7 +104,6 @@ def _within(**kwargs):
 DECODE_ROUTES = {
     "viterbi": lambda crf, e: crf.viterbi_decode(e),
     "greedy": lambda crf, e: crf.argmax_decode(e),
-    "top-k": lambda crf, e: crf.viterbi_top_k(e, 2),
     "viterbi-batch": lambda crf, e: crf.viterbi_decode_batch(
         e[None], np.ones((1, e.shape[0]))),
     "greedy-batch": lambda crf, e: crf.argmax_decode_batch(

@@ -102,6 +102,14 @@ class TestRenderReport:
         assert "serving.decode_ms: n=1" in text
         assert "breaker: closed -> open" in text
 
+    def test_expired_count_renders(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with obs.telemetry_session(str(path)):
+            obs.count("serving.expired", 2)
+        report = build_report(load_events(str(path)))
+        assert report["serving"] == {"expired": 2}
+        assert "serving: 2 expired before decode" in render_report(report)
+
     def test_healthy_episode_events_are_suppressed(self):
         records = [
             {"kind": "event", "name": "episode", "index": 0,

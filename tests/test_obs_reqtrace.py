@@ -163,12 +163,12 @@ class TestFlightRecorder:
     def test_incident_emits_flight_dump_event(self, tmp_path):
         with obs.telemetry_session() as session:
             with flight_recorder(str(tmp_path)):
-                reqtrace.record("overload", level=3)
-                incident("brownout_escalation", level=3)
+                reqtrace.record("breaker", replica=0)
+                incident("breaker_open", replica=0)
         dumps = [r for r in session.sink.records
                  if r.get("name") == "flight.dump"]
         assert len(dumps) == 1
-        assert dumps[0]["reason"] == "brownout_escalation"
+        assert dumps[0]["reason"] == "breaker_open"
         assert dumps[0]["events"] == 2  # the record + the incident marker
 
     def test_record_and_incident_noop_without_recorder(self, tmp_path):

@@ -402,13 +402,6 @@ class TestFlagPlumbing:
                 raise ValueError("boom")
         assert recurrent_kernel_enabled()
 
-    def test_kernels_namespace_reexports(self):
-        from repro.perf import kernels
-
-        for name in ("gru_forward_batch", "bigru_forward_batch",
-                     "lstm_forward_batch", "bilstm_forward_batch"):
-            assert callable(getattr(kernels, name))
-
 
 class TestEffectiveMask:
     def test_all_ones_collapses_to_none(self):

@@ -109,6 +109,31 @@ class TestNoDanglingReferences:
         missing = sorted(pair for pair in named if pair[1] not in targets)
         assert not missing, missing
 
+    #: A long option: ``--name`` not preceded by a word character or dash.
+    FLAG = re.compile(r"(?<![\w-])--([a-z][a-z0-9-]*)")
+
+    def test_documented_cli_flags_exist(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        flags = set()
+        parsers = [build_parser()]
+        while parsers:
+            parser = parsers.pop()
+            for action in parser._actions:
+                flags.update(action.option_strings)
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+        documented = {
+            (name, f"--{flag}")
+            for name in ("cli.md", "serving.md")
+            for flag in self.FLAG.findall((ROOT / "docs" / name).read_text())
+        }
+        assert documented, "no flags found; the pattern has drifted"
+        missing = sorted(pair for pair in documented if pair[1] not in flags)
+        assert not missing, missing
+
 
 class TestCiInstallsWhatTestsImport:
     """A clean CI runner has only what the workflow's pip step installs."""

@@ -17,6 +17,8 @@ from repro.serving import (
     ShardedGateway,
     TaggingService,
 )
+from repro.serving.loadgen import run_load, synthetic_requests
+from repro.serving.priority import BATCH, INTERACTIVE, STANDARD
 
 TOKENS = ["the", "Kavox", "visited", "Zuqev", "today", "reports", "arrived"]
 
@@ -328,6 +330,36 @@ class TestReloadFromCheckpointStore:
         assert gateway.report.deaths == 0
 
 
+class TestDispatch:
+    def test_legacy_fifo_without_overload(self, model):
+        gateway, clock, _f = make_gateway(
+            model, GatewayConfig(replicas=1),
+            service_time_s=lambda toks, ticket: 0.01,
+        )
+        order = []
+        with gateway:
+            submitted = [gateway.submit(["the"]), gateway.submit(["visited"]),
+                         gateway.submit(["today"])]
+            for _ in range(40):
+                gateway.pump()
+                order.extend(gateway.collect())
+                if len(order) == 3:
+                    break
+                clock.advance(0.02)
+        assert order == submitted
+
+    def test_legacy_gateway_dispatches_everything(self, model):
+        gateway, _clock, _f = make_gateway(
+            model, GatewayConfig(replicas=1),
+            service_time_s=lambda toks, ticket: 10.0,
+        )
+        with gateway:
+            for i in range(6):
+                gateway.submit([TOKENS[i % len(TOKENS)]])
+            gateway.pump()
+            assert len(gateway._shards[0].inflight) == 6
+
+
 class TestReportAndHealth:
     def test_health_view_reflects_breakers_and_states(self, model):
         gateway, clock, _f = make_gateway(model)
@@ -359,6 +391,49 @@ class TestReportAndHealth:
             gateway.tag_many([["the"]] * 4, timeout_s=10)
         hist = gateway.metrics.histogram("gateway.latency_ms")
         assert hist.count == 4
+
+    def test_legacy_report_has_no_overload_section(self, model):
+        gateway, _clock, _f = make_gateway(model, GatewayConfig(replicas=2))
+        with gateway:
+            gateway.tag_many([["the"]], timeout_s=10)
+            assert "overload" not in gateway.health()
+        assert "overload" not in gateway.report.summary()
+        assert "overload:" not in gateway.report.render()
+
+
+class TestLoadgenPriorities:
+    def test_per_priority_breakdown_in_slo_report(self, model):
+        gateway, _clock, _f = make_gateway(model, GatewayConfig(replicas=2))
+        requests = synthetic_requests(30, seed=1, pool=tuple(TOKENS))
+        priorities = ([INTERACTIVE] * 10 + [STANDARD] * 10 + [BATCH] * 10)
+        with gateway:
+            slo = run_load(gateway, requests, model="closed", concurrency=4,
+                           seed=1, priorities=priorities)
+        assert slo.per_priority is not None
+        assert set(slo.per_priority) == {INTERACTIVE, STANDARD, BATCH}
+        for stats in slo.per_priority.values():
+            assert stats["offered"] == 10
+            assert stats["completed"] == 10
+            assert stats["shed_rate"] == 0.0
+            assert stats["p99_ms"] >= stats["p50_ms"]
+        rendered = slo.render()
+        for name in (INTERACTIVE, STANDARD, BATCH):
+            assert f"[{name}]" in rendered
+        assert "per_priority" in slo.summary()
+
+    def test_priorities_length_mismatch_rejected(self, model):
+        gateway, _clock, _f = make_gateway(model, GatewayConfig(replicas=1))
+        with gateway:
+            with pytest.raises(ValueError, match="must match"):
+                run_load(gateway, [["the"]], priorities=[STANDARD, BATCH])
+
+    def test_no_priorities_keeps_report_shape(self, model):
+        gateway, _clock, _f = make_gateway(model, GatewayConfig(replicas=1))
+        with gateway:
+            slo = run_load(gateway, [["the"], ["visited"]], model="closed",
+                           concurrency=2)
+        assert slo.per_priority is None
+        assert "per_priority" not in slo.summary()
 
 
 class TestConfigValidation:

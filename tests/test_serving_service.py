@@ -11,6 +11,7 @@ from repro.serving import (
     CLOSED,
     HALF_OPEN,
     OPEN,
+    Expired,
     ManualClock,
     Overloaded,
     Rejected,
@@ -101,6 +102,11 @@ class TestValidation:
         assert isinstance(results[1], Rejected)
         assert results[2].ok
 
+    def test_unknown_priority_rejected(self, model, scheme):
+        service = make_service(model, scheme)
+        with pytest.raises(ValueError, match="unknown priority"):
+            service.tag(["the"], priority="urgent")
+
 
 class TestLoadShedding:
     def test_overflow_is_shed_not_queued(self, model, scheme):
@@ -167,11 +173,8 @@ class TestMicroBatching:
             [Sentence(tuple(r)) for r in requests], scheme)
         assert [list(r.spans) for r in results] == direct
 
-    def test_one_priority_class_per_batch_under_overload(self, model, scheme):
-        from repro.serving import OverloadConfig
-
-        service = make_service(model, scheme, max_batch_size=2,
-                               overload=OverloadConfig())
+    def test_priority_classes_share_batches(self, model, scheme):
+        service = make_service(model, scheme, max_batch_size=2)
         batches = record_batches(service)
         plan = [("batch", 1), ("interactive", 6), ("standard", 2),
                 ("interactive", 1), ("batch", 4), ("standard", 1),
@@ -179,11 +182,12 @@ class TestMicroBatching:
         for priority, n in plan:
             service.submit(TOKENS[:n], priority=priority)
         assert all(r.ok for r in service.drain().values())
+        # Priority labels a request; batching sorts by length alone.
         assert [[(p, len(t)) for _k, t, p in b] for b in batches] == [
-            [("interactive", 1), ("interactive", 3)],
-            [("interactive", 6)],
+            [("batch", 1), ("interactive", 1)],
             [("standard", 1), ("standard", 2)],
-            [("batch", 1), ("batch", 4)],
+            [("interactive", 3), ("batch", 4)],
+            [("interactive", 6)],
         ]
 
 
@@ -335,6 +339,32 @@ class TestSubmitDrain:
         done = service.drain()
         assert done[ticket].ok and done[ticket].degraded
         assert "deadline" in done[ticket].note
+
+
+class TestExpiredAtAdmission:
+    def test_zero_budget_fails_before_decode(self, model, scheme):
+        service = make_service(model, scheme)
+        result = service.tag(["the"], deadline_ms=0)
+        assert isinstance(result, Expired)
+        assert not result.ok and result.status == "expired"
+        assert "already spent" in result.reason
+        assert service.stats["expired"] == 1
+        assert service.stats["served"] == 0  # no decode slot wasted
+
+    def test_negative_budget_same_path(self, model, scheme):
+        service = make_service(model, scheme)
+        assert isinstance(service.tag(["the"], deadline_ms=-5), Expired)
+
+    def test_queued_expiry_stays_legacy_without_overload(self, model, scheme):
+        # A request whose budget ran out while queued is still decoded
+        # (and degraded), not failed with Expired.
+        clock = ManualClock()
+        service = make_service(model, scheme, clock=clock,
+                               default_deadline_ms=50)
+        ticket = service.submit(["the", "visited"])
+        clock.advance(0.2)
+        result = service.drain()[ticket]
+        assert isinstance(result, TagResult) and result.ok
 
 
 class TestLMTagger:
