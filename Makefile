@@ -29,7 +29,11 @@ verify-golden:
 	    tests/test_perf_char_cnn.py::TestDistinctRows \
 	    tests/test_perf_char_cnn.py::TestOffTapeKernel \
 	    tests/test_perf_char_cnn.py::TestOffTapeRangeCheck \
-	    tests/test_perf_kernels.py::TestFusedNLLBitIdentity -q
+	    tests/test_perf_kernels.py::TestFusedNLLBitIdentity \
+	    tests/test_perf_kernels.py::TestViterbiParity \
+	    tests/test_autodiff_tensor.py::TestIndexing \
+	    tests/test_serving_sanitize.py::TestAsciiFastPath \
+	    tests/test_data_tags.py::TestTagSchemeBuiltOnce -q
 
 verify-executor:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_perf_executor.py \

@@ -595,7 +595,12 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 def getitem(a: Tensor, index) -> Tensor:
     """Differentiable indexing (basic and integer-array indexing)."""
-    out_data = a.data[index]
+    if isinstance(index, np.ndarray) and index.dtype.kind in "iu":
+        # The same rows as ``a.data[index]`` (negative ids and the
+        # ``IndexError`` too), gathered faster.
+        out_data = np.take(a.data, index, axis=0)
+    else:
+        out_data = a.data[index]
     shape = a.shape
 
     def vjp(g: Tensor) -> Tensor:

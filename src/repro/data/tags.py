@@ -147,14 +147,16 @@ class TagScheme:
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels in tag scheme")
+        # A frozen scheme's tags never change, so the tag list and the
+        # tag -> id map are built once, not on every encode and decode.
+        tags = ("O",) + tuple(
+            f"{prefix}-{label}" for label in self.labels for prefix in "BI")
+        object.__setattr__(self, "_tags", tags)
+        object.__setattr__(self, "_index", {t: i for i, t in enumerate(tags)})
 
     @property
     def tags(self) -> list[str]:
-        out = ["O"]
-        for label in self.labels:
-            out.append(f"B-{label}")
-            out.append(f"I-{label}")
-        return out
+        return list(self._tags)
 
     @property
     def num_tags(self) -> int:
@@ -162,18 +164,16 @@ class TagScheme:
 
     def tag_index(self, tag: str) -> int:
         try:
-            return self.tags.index(tag)
-        except ValueError:
+            return self._index[tag]
+        except KeyError:
             raise KeyError(f"tag {tag!r} not in scheme {self.tags}") from None
 
     def encode(self, spans, length: int) -> list[int]:
         """Span list -> integer tag ids (spans with unknown labels dropped)."""
-        known = set(self.labels)
-        kept = [s for s in spans if s[2] in known]
-        index = {t: i for i, t in enumerate(self.tags)}
-        return [index[t] for t in spans_to_bio(kept, length)]
+        kept = [s for s in spans if s[2] in self.labels]
+        return [self._index[t] for t in spans_to_bio(kept, length)]
 
     def decode(self, tag_ids) -> list[tuple[int, int, str]]:
         """Integer tag ids -> span list."""
-        tags = self.tags
+        tags = self._tags
         return bio_to_spans([tags[int(i)] for i in tag_ids])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -63,7 +64,9 @@ class Vocabulary:
         return self._itos[index]
 
     def encode(self, tokens: Iterable[str]) -> np.ndarray:
-        return np.array([self.index(t) for t in tokens], dtype=np.intp)
+        words = map(str.lower, tokens) if self.lowercase else tokens
+        return np.fromiter(map(self._stoi.get, words, repeat(self.unk_index)),
+                           dtype=np.intp)
 
     def encode_batch(self, sentences) -> tuple[np.ndarray, np.ndarray]:
         """Pad a batch of token sequences; returns ``(ids, mask)``."""

@@ -145,7 +145,8 @@ class CharCNN(Module):
             # single sentence has none and few repeated words, so finding
             # its distinct rows would cost more than it saves.
             rows, inverse = distinct_rows(char_ids)
-            return Tensor(char_cnn_from_ids(rows, table, self.convs)[inverse])
+            return Tensor(np.take(char_cnn_from_ids(rows, table, self.convs),
+                                  inverse, axis=0))
         emb = self.char_embedding(char_ids)  # (W, C, d)
         if recurrent_kernel_enabled():
             return char_cnn_fused(emb, self.convs)

@@ -62,27 +62,40 @@ def viterbi_decode_batch(trans: np.ndarray, start: np.ndarray,
     """Vectorised Viterbi over a padded batch; one ``(B, T, T)`` op per step.
 
     Returns per-sentence most-likely paths, truncated to true lengths.
-    Bit-identical to running the per-sentence recursion on each row.
+    Bit-identical to running the per-sentence recursion on each row: a
+    step lays its candidates out ``(B, to, from)``, so ``argmax`` scans
+    the same sums in the same ``from`` order along the contiguous axis
+    and ties still go to the first index.  The best score is read at
+    that index rather than taken with ``max``: the two can differ only
+    in the sign of a zero or the payload of a NaN, which no later
+    comparison sees, so the paths are the same.
     """
     emissions = _as_array(emissions)
     mask = _check_batch(emissions, mask)
     batch, length, num_tags = emissions.shape
-    lengths = mask.sum(axis=1).astype(np.intp)
+    lengths = mask.sum(axis=1).astype(np.intp).tolist()
+    trans_t = np.ascontiguousarray(trans.T)  # (to, from)
+    # Flat offset of each (sentence, to) row of a step's candidates.
+    rows = np.arange(batch * num_tags) * num_tags
     score = start[None, :] + emissions[:, 0, :]
     backptr = np.zeros((batch, length, num_tags), dtype=np.intp)
     for t in range(1, length):
-        candidate = score[:, :, None] + trans[None, :, :]  # (B, from, to)
-        new_score = candidate.max(axis=1) + emissions[:, t, :]
+        candidate = score[:, None, :] + trans_t  # (B, to, from)
+        best = candidate.argmax(axis=2)
+        backptr[:, t, :] = best
+        peak = np.take(candidate, rows + best.ravel()).reshape(score.shape)
         live = (mask[:, t] > 0)[:, None]
-        backptr[:, t, :] = candidate.argmax(axis=1)
-        score = np.where(live, new_score, score)
+        score = np.where(live, peak + emissions[:, t, :], score)
     final = score + end[None, :]
-    best_last = final.argmax(axis=1)
+    # A memoryview reads one pointer as a Python int without a numpy
+    # scalar in between.
+    pointers = memoryview(backptr)
     paths: list[list[int]] = []
-    for b in range(batch):
-        best = [int(best_last[b])]
-        for t in range(int(lengths[b]) - 1, 0, -1):
-            best.append(int(backptr[b, t, best[-1]]))
+    for b, (last, n) in enumerate(zip(final.argmax(axis=1).tolist(),
+                                      lengths)):
+        best = [last]
+        for t in range(n - 1, 0, -1):
+            best.append(pointers[b, t, best[-1]])
         best.reverse()
         paths.append(best)
     return paths

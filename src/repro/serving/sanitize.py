@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 #: Unicode categories stripped from tokens: control, format (zero-width
@@ -104,6 +105,18 @@ class RequestSanitizer:
             token = unicodedata.normalize("NFC", token)
         return "".join(c for c in token if not _stripped(c))
 
+    def _already_clean(self, tokens: list) -> bool:
+        """Whether :meth:`sanitize` would return ``tokens`` unchanged,
+        judged for the whole request at once: every token is a ``str``
+        of printable ASCII without a space (what cleaning keeps), none
+        is empty and none is over the cap."""
+        if not all(map(isinstance, tokens, repeat(str))):
+            return False
+        joined = "".join(tokens)
+        return (joined.isascii() and joined.isprintable()
+                and " " not in joined and all(tokens)
+                and max(map(len, tokens)) <= self.config.max_token_chars)
+
     # ------------------------------------------------------------------
     def sanitize(self, tokens: Sequence[str]) -> SanitizedRequest:
         """Clean ``tokens`` or raise a structured :class:`InvalidRequest`."""
@@ -125,6 +138,9 @@ class RequestSanitizer:
                 f"{len(tokens)} tokens exceeds the cap of "
                 f"{self.config.max_tokens}"
             )
+        if self._already_clean(tokens):
+            # ``str`` makes a ``np.str_`` token plain, as cleaning does.
+            return SanitizedRequest(tuple(map(str, tokens)))
         cleaned: list[str] = []
         n_truncated = 0
         n_rewritten = 0

@@ -424,8 +424,8 @@ class TaggingService:
         vocab = getattr(self.model, "word_vocab", None)
         if vocab is None or not tokens:
             return 0.0
-        unk = sum(1 for t in tokens if t not in vocab)
-        return unk / len(tokens)
+        known = sum(map(vocab.__contains__, tokens))
+        return (len(tokens) - known) / len(tokens)
 
     def _on_decode(self, index: int) -> None:
         if self._injector is not None:

@@ -215,6 +215,39 @@ class TestIndexing:
         assert out.shape == (4, 3)
         gradcheck(lambda x: (x[idx] ** 2).sum(), [x])
 
+    @pytest.mark.parametrize("shape,ids", [
+        ((6, 3), [[0, 5, 2], [-1, -6, 2]]),
+        ((7,), [3, -2, 3, 0]),
+        ((4, 2, 3), [-4, 3, 3]),
+        ((5, 2), []),
+    ])
+    @pytest.mark.parametrize("dtype", [np.intp, np.int32])
+    def test_integer_array_gather_matches_fancy_indexing(self, rng, shape,
+                                                         ids, dtype):
+        """An integer-array ``getitem`` gathers with ``np.take``; its
+        value and gradient must keep fancy indexing's bytes and layout."""
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        index = np.array(ids, dtype=dtype)
+        out = getitem(x, index)
+        want = x.data[index]
+        assert out.data.tobytes() == want.tobytes()
+        assert out.shape == want.shape
+        assert out.data.flags.c_contiguous and want.flags.c_contiguous
+        g = rng.normal(size=want.shape)
+        (gx,) = grad(out, [x], Tensor(g))
+        want_gx = np.zeros(shape)
+        np.add.at(want_gx, index, g)
+        assert gx.data.tobytes() == want_gx.tobytes()
+        assert gx.data.flags.c_contiguous
+
+    @pytest.mark.parametrize("bad", [6, 9, -7])
+    def test_integer_array_gather_out_of_range_raises(self, rng, bad):
+        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        with pytest.raises(IndexError):
+            x.data[np.array([0, bad])]
+        with pytest.raises(IndexError):
+            getitem(x, np.array([0, bad]))
+
     def test_duplicate_indices_accumulate(self):
         x = Tensor(np.zeros((3,)), requires_grad=True)
         idx = np.array([1, 1, 1])

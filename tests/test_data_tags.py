@@ -96,3 +96,72 @@ class TestTagScheme:
         assert scheme.tag_index("B-X") == 1
         with pytest.raises(KeyError):
             scheme.tag_index("B-Y")
+
+
+class _PerCallScheme:
+    """Reference: the tag list and index rebuilt on every call."""
+
+    def __init__(self, labels):
+        self.labels = labels
+
+    @property
+    def tags(self):
+        out = ["O"]
+        for label in self.labels:
+            out.append(f"B-{label}")
+            out.append(f"I-{label}")
+        return out
+
+    def encode(self, spans, length):
+        known = set(self.labels)
+        kept = [s for s in spans if s[2] in known]
+        index = {t: i for i, t in enumerate(self.tags)}
+        return [index[t] for t in spans_to_bio(kept, length)]
+
+    def decode(self, tag_ids):
+        tags = self.tags
+        return bio_to_spans([tags[int(i)] for i in tag_ids])
+
+
+class TestTagSchemeBuiltOnce:
+    """A scheme builds its tags and tag -> id map once; every output must
+    equal the per-call reference's."""
+
+    def test_outputs_match_per_call_reference(self):
+        rng = np.random.default_rng(27)
+        pool = ["PER", "LOC", "ORG", "0", "1", "2", "B-X", "MISC"]
+        for _ in range(200):
+            labels = tuple(rng.permutation(pool)[:rng.integers(0, 6)])
+            scheme, ref = TagScheme(labels), _PerCallScheme(labels)
+            assert scheme.tags == ref.tags
+            assert scheme.num_tags == len(ref.tags)
+            for tag in ref.tags:
+                assert scheme.tag_index(tag) == ref.tags.index(tag)
+            length = int(rng.integers(1, 12))
+            cuts = sorted(rng.choice(np.arange(length + 1),
+                                     size=min(4, length + 1), replace=False))
+            spans = [(int(a), int(b), str(rng.choice(pool)))
+                     for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
+            assert scheme.encode(spans, length) == ref.encode(spans, length)
+            ids = rng.integers(0, len(ref.tags), size=length)
+            assert scheme.decode(ids) == ref.decode(ids)
+            assert scheme.decode(ids.tolist()) == ref.decode(ids)
+
+    def test_tags_is_a_fresh_list(self):
+        scheme = TagScheme(("PER",))
+        scheme.tags.append("B-LOC")
+        assert scheme.tags == ["O", "B-PER", "I-PER"]
+        assert scheme.encode([(0, 1, "PER")], 2) == [1, 0]
+
+    def test_equality_hash_and_pickle_see_labels_only(self):
+        import pickle
+
+        scheme = TagScheme(("PER", "LOC"))
+        assert scheme == TagScheme(("PER", "LOC"))
+        assert hash(scheme) == hash(TagScheme(("PER", "LOC")))
+        assert repr(scheme) == "TagScheme(labels=('PER', 'LOC'))"
+        copy = pickle.loads(pickle.dumps(scheme))
+        assert copy == scheme
+        assert copy.decode([3, 4]) == [(0, 2, "LOC")]
+        with pytest.raises(KeyError, match="not in scheme"):
+            copy.tag_index("B-ORG")

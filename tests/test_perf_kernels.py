@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.autodiff.tensor import Tensor, grad
 from repro.crf import LinearChainCRF, bio_start_mask, bio_transition_mask
@@ -105,6 +107,103 @@ class TestDecodeParity:
                                      np.array([[1, 1, 0, 0], [0, 0, 0, 0]]))
         with pytest.raises(ValueError):  # tag-count mismatch
             crf.viterbi_decode_batch(np.zeros((2, 4, 5)), np.ones((2, 4)))
+
+
+def viterbi_case(case_seed, batch, length, num_tags, grid, infs):
+    """A CRF and a ragged ``(B, L, T)`` batch for the Viterbi parity test.
+
+    ``grid`` puts every emission and CRF score on a 0.5 grid, so step
+    maxima tie; ``infs`` scatters ``±inf`` into the real emissions.  Pad
+    cells hold NaN, which the batched kernel must never read.
+    """
+    rng = np.random.default_rng(case_seed)
+    crf = LinearChainCRF(num_tags, rng)
+    if grid:
+        for p in (crf.transitions, crf.start_scores, crf.end_scores):
+            p.data[...] = rng.integers(-3, 4, size=p.data.shape) * 0.5
+    shape = (batch, length, num_tags)
+    emissions = (rng.integers(-4, 5, size=shape) * 0.5 if grid
+                 else rng.normal(size=shape) * 2)
+    if infs:
+        picks = rng.random(shape)
+        emissions[picks < 0.1] = np.inf
+        emissions[picks > 0.9] = -np.inf
+    lengths = rng.integers(1, length + 1, size=batch)
+    mask = (np.arange(length)[None, :] < lengths[:, None]).astype(float)
+    emissions[mask == 0] = np.nan
+    return crf, emissions, mask, lengths
+
+
+def viterbi_ties(crf, emissions):
+    """How many step or final maxima of the per-sentence recursion over
+    ``(L, T)`` ``emissions`` are reached by more than one tag."""
+    trans, start, end = crf._constrained_scores()
+    score = start + emissions[0]
+    ties = 0
+    for t in range(1, len(emissions)):
+        candidate = score[:, None] + trans
+        peak = candidate.max(axis=0)
+        ties += int(((candidate == peak).sum(axis=0) > 1).sum())
+        score = peak + emissions[t]
+    final = score + end
+    return ties + int((final == final.max()).sum() > 1)
+
+
+class TestViterbiParity:
+    """The batched Viterbi kernel against ``LinearChainCRF.viterbi_decode``
+    sentence by sentence: equal paths of Python ints."""
+
+    def assert_parity(self, crf, emissions, mask, lengths):
+        # ``inf + -inf`` is a NaN score on both routes, by design.
+        with np.errstate(invalid="ignore"):
+            batched = crf.viterbi_decode_batch(emissions, mask)
+            serial = [crf.viterbi_decode(emissions[b, :n])
+                      for b, n in enumerate(lengths)]
+        assert batched == serial
+        assert [len(path) for path in batched] == list(lengths)
+        assert all(type(tag) is int for path in batched for tag in path)
+
+    @seed(27)
+    @settings(max_examples=150, deadline=None)
+    @given(case_seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6),
+           length=st.integers(1, 8), num_tags=st.integers(1, 6),
+           grid=st.booleans(), infs=st.booleans())
+    def test_batched_paths_equal_per_sentence(self, case_seed, batch, length,
+                                              num_tags, grid, infs):
+        self.assert_parity(*viterbi_case(case_seed, batch, length, num_tags,
+                                         grid, infs))
+
+    @pytest.mark.parametrize("batch,length,num_tags", [
+        (1, 1, 1), (1, 1, 5), (1, 6, 1), (4, 1, 3), (1, 6, 4), (4, 6, 1),
+    ])
+    @pytest.mark.parametrize("infs", [False, True])
+    def test_unit_dimensions(self, batch, length, num_tags, infs):
+        for case_seed in range(10):
+            self.assert_parity(*viterbi_case(case_seed, batch, length,
+                                             num_tags, True, infs))
+
+    def test_grid_cases_tie(self):
+        """The 0.5 grid really does tie step maxima, so the parity test
+        checks the first-index rule."""
+        ties = 0
+        for case_seed in range(20):
+            crf, emissions, mask, lengths = viterbi_case(
+                case_seed, 4, 8, 5, True, False)
+            self.assert_parity(crf, emissions, mask, lengths)
+            ties += sum(viterbi_ties(crf, emissions[b, :n])
+                        for b, n in enumerate(lengths))
+        assert ties >= 50
+
+    def test_constrained_crf_with_infinite_emissions(self):
+        names = ["O", "B-0", "I-0", "B-1", "I-1"]
+        for case_seed in range(20):
+            crf, emissions, mask, lengths = viterbi_case(
+                case_seed, 5, 8, 5, case_seed % 2 == 0, True)
+            constrained = LinearChainCRF(
+                5, np.random.default_rng(case_seed),
+                bio_transition_mask(names), bio_start_mask(names))
+            constrained.load_state_dict(crf.state_dict())
+            self.assert_parity(constrained, emissions, mask, lengths)
 
 
 def nll_and_grads(crf, emissions, tags, mask, fused, history=False):

@@ -271,6 +271,9 @@ class TestCommittedEvidence:
     def test_off_tape_char_cnn_table_numbers_are_committed(self):
         assert self._committed_numbers_checked("Off-tape char-CNN") >= 150
 
+    def test_inference_hot_path_table_numbers_are_committed(self):
+        assert self._committed_numbers_checked("Inference hot path") >= 150
+
 
 class TestPackagingHygiene:
     def test_all_packages_have_init(self):

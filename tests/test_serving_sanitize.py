@@ -124,14 +124,64 @@ class TestFuzz:
 
 
 class _GeneralPathSanitizer(RequestSanitizer):
-    """Cleans every token on the general (per-character) path."""
+    """Cleans every request token by token, and every token on the
+    general (per-character) path."""
+
+    def _already_clean(self, tokens) -> bool:
+        return False
 
     def clean_token(self, token: str) -> str:
         return self._clean_general(token)
 
 
+def _outcome(sanitizer, tokens):
+    """The sanitized request, or the ``(index, reason)`` of its error."""
+    try:
+        return sanitizer.sanitize(tokens)
+    except InvalidRequest as exc:
+        return exc.index, exc.reason
+
+
+#: Tokens the request-level parity test draws from: already clean ASCII
+#: (``x * 6`` is at the test's cap) ...
+_CLEAN_TOKENS = ["Kavox", "went", "x" * 6, "a.b-c", "!~",
+                 np.str_("Zuqev"), np.str_("ok")]
+#: ... and every kind of dirt the cleaner handles, over-cap tokens and
+#: tokens of the wrong type.
+_DIRTY_TOKENS = [
+    np.str_("x" * 7), np.str_("t\tab"), np.str_(""), "x" * 7, "to\tken",
+    "a b", " ", "\x00", "\x7f", "li\nne", "", "caf\u00e9", "cafe\u0301",
+    "\u200bz", "\U0001f600", 7, None, b"ok",
+]
+
+
 class TestAsciiFastPath:
-    """ASCII tokens take a ``str.translate`` shortcut; results must agree."""
+    """ASCII tokens take a ``str.translate`` shortcut, and a request of
+    already clean ASCII tokens skips cleaning; results must agree."""
+
+    @pytest.mark.parametrize("nfc", [True, False])
+    def test_request_level_path_matches_general_path(self, nfc):
+        config = SanitizerConfig(max_token_chars=6, normalize_nfc=nfc)
+        fast = RequestSanitizer(config)
+        general = _GeneralPathSanitizer(config)
+        rng = np.random.default_rng(27)
+        requests = []
+        for pool in (_CLEAN_TOKENS, _CLEAN_TOKENS + _DIRTY_TOKENS):
+            requests += [[pool[i] for i in rng.integers(0, len(pool),
+                                                        rng.integers(1, 6))]
+                         for _ in range(200)]
+        requests += [[t] for t in _CLEAN_TOKENS + _DIRTY_TOKENS]
+        requests += [["Kavox", np.str_("ok"), "x" * 6], ["a"] * 512]
+        skipped = 0
+        for tokens in requests:
+            want = _outcome(general, tokens)
+            got = _outcome(fast, tokens)
+            assert got == want, tokens
+            if isinstance(got, SanitizedRequest):
+                assert all(type(t) is str for t in got.tokens)
+            skipped += fast._already_clean(tokens)
+        assert skipped >= 200
+        assert fast._already_clean(["Kavox", np.str_("ok"), "x" * 6])
 
     @pytest.mark.parametrize("nfc", [True, False])
     def test_every_ascii_code_point_matches_general_path(self, nfc):
