@@ -25,5 +25,5 @@ for tag, eps in (("TRAIN", train_eps), ("TEST", test_eps)):
     batch = m.model.encode([ep.query[0]], ep.scheme)
     import repro.autodiff as ad
     with ad.no_grad():
-        em = m.model.emissions(batch)[0].data
+        em = m.model.emission_scores(batch)[0].data
     print("  emission mean per tag:", np.round(em.mean(axis=0),2))

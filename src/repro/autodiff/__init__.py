@@ -10,8 +10,9 @@ reproduction.  The design mirrors a miniature define-by-run framework:
   ``create_graph=True`` produces gradients that are themselves nodes of a
   differentiable graph.  This is what makes the second-order outer update
   of FEWNER/MAML (a gradient *through* a gradient) computable exactly.
-* :func:`~repro.autodiff.gradcheck.gradcheck` verifies any op or composite
-  function against central finite differences, including double-backward.
+
+The test suite checks every op against central finite differences,
+including double-backward.
 """
 
 from repro.autodiff.tensor import (
@@ -51,7 +52,6 @@ from repro.autodiff.functional import (
     mse_loss,
     dropout_mask,
 )
-from repro.autodiff.gradcheck import gradcheck, numerical_grad
 
 __all__ = [
     "Tensor",
@@ -87,6 +87,4 @@ __all__ = [
     "nll_loss",
     "mse_loss",
     "dropout_mask",
-    "gradcheck",
-    "numerical_grad",
 ]

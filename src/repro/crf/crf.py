@@ -6,6 +6,10 @@ computed with the forward algorithm.  The negative log-likelihood is built
 entirely from differentiable primitives, so gradients — including the
 second-order gradients of FEWNER's outer loop — flow through the partition
 function exactly.
+
+A batch has one format: padded ``(B, L, T)`` emissions with a ``(B, L)``
+mask, for the NLL and for the batched decoders alike.  The per-sentence
+``(L, T)`` decoders serve the deadline path one sentence at a time.
 """
 
 from __future__ import annotations
@@ -70,50 +74,6 @@ class LinearChainCRF(Module):
         trans = self.transitions + Tensor(self._transition_penalty)
         start = self.start_scores + Tensor(self._start_penalty)
         return trans, start
-
-    def log_partition(self, emissions: Tensor) -> Tensor:
-        """Forward-algorithm log Z for ``(L, T)`` emissions."""
-        length = emissions.shape[0]
-        trans, start = self._scores()
-        alpha = start + emissions[0, :]
-        for t in range(1, length):
-            # alpha[i] + trans[i, j] + emission[t, j], logsumexp over i
-            scores = alpha.reshape((self.num_tags, 1)) + trans
-            alpha = logsumexp(scores, axis=0) + emissions[t, :]
-        alpha = alpha + self.end_scores
-        return logsumexp(alpha)
-
-    def gold_score(self, emissions: Tensor, tags: np.ndarray) -> Tensor:
-        """Unnormalised score of the gold tag path."""
-        tags = np.asarray(tags, dtype=np.intp)
-        length = emissions.shape[0]
-        if tags.shape != (length,):
-            raise ValueError(
-                f"tags shape {tags.shape} does not match emissions length {length}"
-            )
-        trans, start = self._scores()
-        score = start[int(tags[0])] + emissions[0, int(tags[0])]
-        for t in range(1, length):
-            score = score + trans[int(tags[t - 1]), int(tags[t])]
-            score = score + emissions[t, int(tags[t])]
-        return score + self.end_scores[int(tags[-1])]
-
-    def nll(self, emissions: Tensor, tags: np.ndarray) -> Tensor:
-        """Negative log-likelihood of one sentence."""
-        return self.log_partition(emissions) - self.gold_score(emissions, tags)
-
-    def batch_nll(self, emissions_list: list[Tensor],
-                  tags_list: list[np.ndarray]) -> Tensor:
-        """Mean NLL over a batch of variable-length sentences."""
-        if len(emissions_list) != len(tags_list):
-            raise ValueError("batch size mismatch between emissions and tags")
-        if not emissions_list:
-            raise ValueError("empty batch")
-        losses = [self.nll(e, t) for e, t in zip(emissions_list, tags_list)]
-        total = losses[0]
-        for loss in losses[1:]:
-            total = total + loss
-        return total / Tensor(np.array(float(len(losses))))
 
     def batch_nll_padded(self, emissions: Tensor, tags: np.ndarray,
                          mask: np.ndarray) -> Tensor:
@@ -238,19 +198,29 @@ class LinearChainCRF(Module):
             raise ValueError("every sequence must have at least one token")
         return data
 
+    def _check_padded(self, emissions,
+                      mask) -> tuple[np.ndarray, np.ndarray]:
+        """``(emissions, mask)`` of a padded batch as arrays, or ``ValueError``.
+
+        The emission checks of :meth:`_check_emissions` plus the mask
+        check every batched kernel runs: ``(B, L, T)`` emissions and a
+        ``(B, L)`` mask that is 1 on a non-empty prefix of each row and 0
+        after.
+        """
+        from repro.perf.kernels import _check_batch
+
+        data = self._check_emissions(emissions)
+        return data, _check_batch(data, mask)
+
     def _check_nll_batch(self, emissions, tags,
                          mask) -> tuple[np.ndarray, np.ndarray]:
         """``(tags, mask)`` as arrays for a padded NLL batch, or ``ValueError``.
 
         Shared by both NLL routes, so malformed input fails the same way
-        on each: an empty batch, a zero-length or wrong-tag-count
-        emission tensor, tags or mask of the wrong shape, tag ids out of
-        range, and a mask that is not 1 on a non-empty prefix and 0 after.
+        on each: everything :meth:`_check_padded` rejects, an empty
+        batch, tags of the wrong shape and tag ids out of range.
         """
-        from repro.perf.kernels import _check_batch
-
-        data = self._check_emissions(emissions)
-        mask = _check_batch(data, mask)
+        data, mask = self._check_padded(emissions, mask)
         if data.shape[0] == 0:
             raise ValueError("empty batch")
         tags = np.asarray(tags, dtype=np.intp)
@@ -258,8 +228,6 @@ class LinearChainCRF(Module):
             raise ValueError("tags/mask shape mismatch with emissions")
         if tags.min() < 0 or tags.max() >= self.num_tags:
             raise ValueError(f"tag ids must lie in [0, {self.num_tags})")
-        if ((mask != 0) & (mask != 1)).any() or (np.diff(mask, axis=1) > 0).any():
-            raise ValueError("mask must be 1 on a prefix of each row and 0 after")
         return tags, mask
 
     def viterbi_decode(self, emissions: np.ndarray) -> list[int]:
@@ -304,25 +272,3 @@ class LinearChainCRF(Module):
                 scores = scores + end
             tags.append(int(scores.argmax()))
         return tags
-
-    def marginals(self, emissions: Tensor) -> np.ndarray:
-        """Posterior tag marginals ``(L, T)`` via forward-backward (numpy)."""
-        e = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions)
-        length = e.shape[0]
-        trans, start, end = self._constrained_scores()
-
-        def lse(x, axis):
-            m = x.max(axis=axis, keepdims=True)
-            return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-        alpha = np.zeros((length, self.num_tags))
-        alpha[0] = start + e[0]
-        for t in range(1, length):
-            alpha[t] = lse(alpha[t - 1][:, None] + trans, axis=0) + e[t]
-        beta = np.zeros((length, self.num_tags))
-        beta[-1] = end
-        for t in range(length - 2, -1, -1):
-            beta[t] = lse(trans + (e[t + 1] + beta[t + 1])[None, :], axis=1)
-        log_marg = alpha + beta
-        log_z = lse(alpha[-1] + end, axis=0)
-        return np.exp(log_marg - log_z)

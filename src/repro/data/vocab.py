@@ -57,9 +57,6 @@ class Vocabulary:
     def unk_index(self) -> int:
         return 1
 
-    def index(self, token: str) -> int:
-        return self._stoi.get(self._norm(token), self.unk_index)
-
     def token(self, index: int) -> str:
         return self._itos[index]
 

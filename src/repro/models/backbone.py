@@ -229,11 +229,6 @@ class CNNBiGRUCRF(Module):
                 scores = scores + matmul(h, head)
         return scores
 
-    def emissions(self, batch: Batch, phi: Tensor | None = None) -> list[Tensor]:
-        """Per-sentence emission scores, unpadded: list of ``(L_i, T)``."""
-        scores = self.emission_scores(batch, phi)
-        return [scores[i, : batch.lengths[i], :] for i in range(batch.size)]
-
     def loss(self, batch: Batch, phi: Tensor | None = None,
              base: Tensor | None = None) -> Tensor:
         """Mean CRF negative log-likelihood over the batch.
@@ -361,9 +356,8 @@ class CNNBiGRUCRF(Module):
             return [], []
         reject_empty(sentences)
         batch, scores = self._inference_scores(sentences, phi)
-        emissions = [scores[i, :n] for i, n in enumerate(batch.lengths)]
         return decode_emissions_within(
-            self.crf, emissions, deadline=deadline,
+            self.crf, scores, batch.mask, deadline=deadline,
             on_sentence=on_sentence, allow_viterbi=allow_viterbi,
         )
 

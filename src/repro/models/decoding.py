@@ -1,8 +1,7 @@
 """Deadline-aware CRF decoding shared by the backbone and LM baselines.
 
-:func:`decode_emissions_within` walks a batch of per-sentence emission
-scores and picks, per sentence, the richest decode the remaining budget
-allows:
+:func:`decode_emissions_within` walks a padded batch of emission scores
+and picks, per sentence, the richest decode the remaining budget allows:
 
 * full Viterbi while the deadline has budget and the caller's circuit
   breaker permits it (``allow_viterbi``);
@@ -57,14 +56,18 @@ def reject_empty(sentences) -> None:
 
 def decode_emissions_within(
     crf: LinearChainCRF,
-    emissions,
+    scores: np.ndarray,
+    mask: np.ndarray,
     deadline=None,
     on_sentence: Callable[[int], None] | None = None,
     allow_viterbi: bool = True,
 ) -> tuple[list[list[int]], list[str]]:
-    """Decode each ``(L, T)`` emission matrix; returns ``(paths, statuses)``.
+    """Decode padded ``(B, L, T)`` scores; returns ``(paths, statuses)``.
 
-    ``deadline`` is any object with an ``expired`` property (normally a
+    ``mask`` is ``(B, L)``, 1 on each row's real tokens (a non-empty
+    prefix) and 0 after; sentence ``i`` is ``scores[i, :n_i]``, and the
+    pad cells are never read into a path.  ``deadline`` is any object
+    with an ``expired`` property (normally a
     :class:`repro.serving.Deadline`); ``on_sentence(i)`` is a test hook
     run before each Viterbi attempt — fault injectors use it to raise or
     to advance a manual clock, simulating a failing or slow decoder.
@@ -73,25 +76,19 @@ def decode_emissions_within(
     batch goes through the vectorised kernel in one shot (statuses all
     ``FULL``) — bit-identical paths, no per-sentence Python loop.
 
-    Malformed emissions (wrong tag count, zero length) are the caller's
-    error, not a decoder failure: every route raises the CRF's
-    ``ValueError`` before decoding anything.
+    Malformed input (wrong tag count, zero length, a mask that is not a
+    0/1 prefix) is the caller's error, not a decoder failure: every route
+    raises the CRF's ``ValueError`` before decoding anything.
     """
-    arrays = [crf._check_emissions(e) for e in emissions]
-    if deadline is None and on_sentence is None and allow_viterbi and arrays:
-        lengths = [a.shape[0] for a in arrays]
-        max_len, num_tags = max(lengths), arrays[0].shape[1]
-        padded = np.zeros((len(arrays), max_len, num_tags))
-        mask = np.zeros((len(arrays), max_len))
-        for i, a in enumerate(arrays):
-            padded[i, : lengths[i], :] = a
-            mask[i, : lengths[i]] = 1.0
-        paths = crf.viterbi_decode_batch(padded, mask)
+    if deadline is None and on_sentence is None and allow_viterbi:
+        paths = crf.viterbi_decode_batch(scores, mask)
         return paths, [FULL] * len(paths)
 
+    scores, mask = crf._check_padded(scores, mask)
     paths: list[list[int]] = []
     statuses: list[str] = []
-    for i, data in enumerate(arrays):
+    for i, length in enumerate(mask.sum(axis=1).astype(np.intp).tolist()):
+        data = scores[i, :length]
         path: list[int] | None = None
         if not allow_viterbi:
             status = DEGRADED_BREAKER

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, matmul, no_grad
+from repro.autodiff.tensor import Tensor, no_grad
 from repro.crf import LinearChainCRF, bio_start_mask, bio_transition_mask
 from repro.data.sentence import Sentence
 from repro.data.tags import TagScheme
@@ -36,52 +36,55 @@ class LMTagger(Module):
         self.crf = LinearChainCRF(num_tags, rng, transition_mask, start_mask)
         self._feature_cache: dict[tuple[str, ...], np.ndarray] = {}
 
-    def _features(self, sentence: Sentence) -> Tensor:
+    def _features(self, sentence: Sentence) -> np.ndarray:
         key = sentence.tokens
         feats = self._feature_cache.get(key)
         if feats is None:
             feats = self.embedder.encode(sentence.tokens)
             self._feature_cache[key] = feats
-        return Tensor(feats)
+        return feats
 
-    def emissions(self, sentences: list[Sentence]) -> list[Tensor]:
-        return [
-            matmul(self._features(s), self.projection.weight) + self.projection.bias
-            for s in sentences
-        ]
+    def emissions(self, sentences: list[Sentence]) -> tuple[Tensor, np.ndarray]:
+        """Padded emission scores ``(B, L, T)`` and their ``(B, L)`` mask.
 
-    def _inference_emissions(self, sentences: list[Sentence]) -> list[np.ndarray]:
-        """Per-sentence emission scores off the tape: decoding records
-        nothing for backward."""
+        The frozen features are padded with zeros in numpy, so one
+        projection scores the whole batch.
+        """
+        feats = [self._features(s) for s in sentences]
+        lengths = np.array([len(f) for f in feats])
+        mask = (np.arange(lengths.max()) < lengths[:, None]).astype(float)
+        padded = np.zeros(mask.shape + (self.embedder.output_dim,))
+        padded[mask > 0] = np.concatenate(feats)
+        return self.projection(Tensor(padded)), mask
+
+    def _inference_emissions(
+        self, sentences: list[Sentence]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Padded scores and mask off the tape: decoding records nothing
+        for backward."""
         with no_grad():
-            return [e.data for e in self.emissions(sentences)]
+            scores, mask = self.emissions(sentences)
+        return scores.data, mask
 
     def loss(self, sentences: list[Sentence], scheme: TagScheme) -> Tensor:
-        tags = [
-            np.asarray(
-                scheme.encode([sp.as_tuple() for sp in s.spans], len(s)),
-                dtype=np.intp,
-            )
+        scores, mask = self.emissions(sentences)
+        tags = np.zeros(mask.shape, dtype=np.intp)
+        # Real cells in row-major order are the batch's tokens in order.
+        tags[mask > 0] = np.concatenate([
+            scheme.encode([sp.as_tuple() for sp in s.spans], len(s))
             for s in sentences
-        ]
-        return self.crf.batch_nll(self.emissions(sentences), tags)
+        ])
+        return self.crf.batch_nll_padded(scores, tags, mask)
 
     def decode(self, sentences: list[Sentence]) -> list[list[int]]:
-        """Viterbi tag sequences (``[]`` for an empty batch).
-
-        Routes through the batched kernel via
-        :func:`repro.models.decoding.decode_emissions_within` when the
-        fast decode path is on; paths are bit-identical either way.
-        """
-        from repro.models.decoding import decode_emissions_within
-
+        """Viterbi tag sequences (``[]`` for an empty batch), through the
+        batched kernel as :meth:`CNNBiGRUCRF.decode` does."""
         if not sentences:
             return []
         reject_empty(sentences)
-        paths, _statuses = decode_emissions_within(
-            self.crf, self._inference_emissions(sentences)
+        return self.crf.viterbi_decode_batch(
+            *self._inference_emissions(sentences)
         )
-        return paths
 
     def decode_within(
         self,
@@ -102,8 +105,9 @@ class LMTagger(Module):
             return [], []
         reject_empty(sentences)
         return decode_emissions_within(
-            self.crf, self._inference_emissions(sentences), deadline=deadline,
-            on_sentence=on_sentence, allow_viterbi=allow_viterbi,
+            self.crf, *self._inference_emissions(sentences),
+            deadline=deadline, on_sentence=on_sentence,
+            allow_viterbi=allow_viterbi,
         )
 
     def predict_spans(self, sentences: list[Sentence],

@@ -2,7 +2,8 @@
 fused first-order inner loop.
 
 Every function here operates on a *padded* batch — emissions ``(B, L, T)``
-with a ``(B, L)`` mask whose first column is all ones — and replaces a
+with a ``(B, L)`` mask that is 1 on a non-empty prefix of each row and 0
+after (:func:`_check_batch` rejects anything else) — and replaces a
 per-sentence Python loop with one numpy op per timestep.  The decoding
 kernels reproduce the per-sentence recursions' float operations and
 ``argmax`` tie-breaking exactly, so their outputs are bit-identical to
@@ -38,6 +39,12 @@ def _as_array(emissions) -> np.ndarray:
 
 
 def _check_batch(emissions: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``mask`` as a float array, or ``ValueError``.
+
+    Every padded route (decode and NLL) shares this check: ``(B, L, T)``
+    emissions and a ``(B, L)`` mask that is 1 on a non-empty prefix of
+    each row and 0 after.
+    """
     if emissions.ndim != 3:
         raise ValueError(
             f"batched kernels need (B, L, T) emissions, got shape "
@@ -51,6 +58,8 @@ def _check_batch(emissions: np.ndarray, mask: np.ndarray) -> np.ndarray:
         )
     if emissions.shape[1] == 0 or (mask[:, 0] < 1).any():
         raise ValueError("every sequence must have at least one token")
+    if ((mask != 0) & (mask != 1)).any() or (np.diff(mask, axis=1) > 0).any():
+        raise ValueError("mask must be 1 on a prefix of each row and 0 after")
     return mask
 
 

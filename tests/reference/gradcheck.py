@@ -1,7 +1,8 @@
 """Finite-difference verification of analytic gradients.
 
-Used throughout the test suite to certify every primitive and the composed
-models, including the second-order gradients FEWNER's outer loop needs.
+Used throughout the test suite to certify every autodiff primitive and
+the composed models, including the second-order gradients FEWNER's
+outer loop needs.
 """
 
 from __future__ import annotations

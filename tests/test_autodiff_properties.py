@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autodiff import Tensor, grad, logsumexp, softmax
-from repro.autodiff.gradcheck import numerical_grad
+from tests.reference.gradcheck import numerical_grad
 
 finite_floats = st.floats(
     min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, grad
-from repro.autodiff.gradcheck import numerical_grad
+from tests.reference.gradcheck import numerical_grad
 
 
 @pytest.fixture

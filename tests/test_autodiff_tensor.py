@@ -10,7 +10,6 @@ from repro.autodiff import (
     concatenate,
     full,
     grad,
-    gradcheck,
     matmul,
     maximum,
     minimum,
@@ -24,6 +23,7 @@ from repro.autodiff import (
     zeros,
 )
 from repro.autodiff.tensor import getitem, pad, scatter_to
+from tests.reference.gradcheck import gradcheck
 
 
 @pytest.fixture

@@ -5,12 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, gradcheck
+from repro.autodiff import Tensor
 from repro.crf import (
     LinearChainCRF,
     bio_start_mask,
     bio_transition_mask,
 )
+from tests.reference import crf as reference
+from tests.reference.crf import padded_nll
+from tests.reference.gradcheck import gradcheck
 
 
 @pytest.fixture
@@ -34,29 +37,44 @@ def brute_force_paths(crf, emissions):
     return scores
 
 
+def log_z(scores):
+    values = np.array(list(scores.values()))
+    return values.max() + np.log(np.exp(values - values.max()).sum())
+
+
 class TestPartition:
+    """log Z read off the shipped NLL: ``NLL(path) + score(path)``."""
+
     def test_matches_brute_force(self, rng):
         crf = LinearChainCRF(3, rng)
         em = rng.normal(size=(4, 3))
         scores = brute_force_paths(crf, em)
-        values = np.array(list(scores.values()))
-        expected = values.max() + np.log(np.exp(values - values.max()).sum())
-        assert np.isclose(crf.log_partition(Tensor(em)).item(), expected)
+        expected = log_z(scores)
+        for path in [(0, 1, 2, 1), (2, 2, 0, 0)]:
+            z = padded_nll(crf, em, path).item() + scores[path]
+            assert np.isclose(z, expected)
+        assert np.isclose(reference.log_partition(crf, em).item(), expected)
 
     def test_single_token(self, rng):
         crf = LinearChainCRF(4, rng)
         em = rng.normal(size=(1, 4))
-        z = crf.log_partition(Tensor(em)).item()
         expected = np.logaddexp.reduce(
             crf.start_scores.data + em[0] + crf.end_scores.data
         )
-        assert np.isclose(z, expected)
+        for tag in range(4):
+            z = padded_nll(crf, em, [tag]).item() + (
+                crf.start_scores.data[tag] + em[0, tag]
+                + crf.end_scores.data[tag]
+            )
+            assert np.isclose(z, expected)
 
     def test_partition_exceeds_gold(self, rng):
         crf = LinearChainCRF(3, rng)
-        em = Tensor(rng.normal(size=(5, 3)))
+        em = rng.normal(size=(5, 3))
         tags = rng.integers(0, 3, size=5)
-        assert crf.log_partition(em).item() > crf.gold_score(em, tags).item()
+        assert padded_nll(crf, em, tags).item() > 0.0
+        assert (reference.log_partition(crf, em).item()
+                > reference.gold_score(crf, em, tags).item())
 
 
 class TestNLL:
@@ -65,57 +83,67 @@ class TestNLL:
         em = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         tags = np.array([0, 1, 2, 1])
         gradcheck(
-            lambda e, tr, st, en: crf.nll(e, tags),
+            lambda e, tr, st, en: padded_nll(crf, e, tags),
             [em, crf.transitions, crf.start_scores, crf.end_scores],
         )
 
     def test_nll_is_proper_probability(self, rng):
         """exp(-NLL) over all tag paths sums to one."""
         crf = LinearChainCRF(2, rng)
-        em = Tensor(rng.normal(size=(3, 2)))
+        em = rng.normal(size=(3, 2))
         total = 0.0
         for path in itertools.product(range(2), repeat=3):
-            total += np.exp(-crf.nll(em, np.array(path)).item())
+            total += np.exp(-padded_nll(crf, em, path).item())
         assert np.isclose(total, 1.0)
 
     def test_tags_shape_mismatch(self, rng):
         crf = LinearChainCRF(2, rng)
         with pytest.raises(ValueError):
-            crf.nll(Tensor(rng.normal(size=(3, 2))), np.array([0, 1]))
+            crf.batch_nll_padded(Tensor(rng.normal(size=(1, 3, 2))),
+                                 np.array([[0, 1]]), np.ones((1, 3)))
 
     def test_batch_nll_is_mean(self, rng):
         crf = LinearChainCRF(3, rng)
-        ems = [Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(2, 3)))]
-        tags = [np.array([0, 1, 2, 0]), np.array([1, 1])]
-        batch = crf.batch_nll(ems, tags).item()
-        singles = [crf.nll(e, t).item() for e, t in zip(ems, tags)]
+        em = rng.normal(size=(2, 4, 3))
+        tags = np.array([[0, 1, 2, 0], [1, 1, 0, 0]])
+        mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]])
+        batch = crf.batch_nll_padded(Tensor(em), tags, mask).item()
+        singles = [padded_nll(crf, em[0], tags[0]).item(),
+                   padded_nll(crf, em[1, :2], tags[1, :2]).item()]
         assert np.isclose(batch, np.mean(singles))
 
     def test_batch_nll_validation(self, rng):
         crf = LinearChainCRF(2, rng)
-        with pytest.raises(ValueError):
-            crf.batch_nll([], [])
-        with pytest.raises(ValueError):
-            crf.batch_nll([Tensor(np.zeros((2, 2)))], [])
+        with pytest.raises(ValueError, match="empty batch"):
+            crf.batch_nll_padded(Tensor(np.zeros((0, 2, 2))),
+                                 np.zeros((0, 2), dtype=int), np.ones((0, 2)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            crf.batch_nll_padded(Tensor(np.zeros((1, 2, 2))), np.zeros(0),
+                                 np.ones((1, 2)))
 
 
 class TestBatchedPadded:
     def test_matches_per_sentence(self, rng):
+        """On the fused route and on the graph route."""
+        from repro.perf import fastpath
+
         crf = LinearChainCRF(4, rng)
         lens = [5, 2, 4]
         batch, max_len = len(lens), max(lens)
-        em = Tensor(rng.normal(size=(batch, max_len, 4)), requires_grad=True)
+        em = rng.normal(size=(batch, max_len, 4))
         tags = np.zeros((batch, max_len), dtype=int)
         mask = np.zeros((batch, max_len))
-        per_em, per_tags = [], []
         for i, l in enumerate(lens):
             tags[i, :l] = rng.integers(0, 4, size=l)
             mask[i, :l] = 1
-            per_em.append(em[i, :l, :])
-            per_tags.append(tags[i, :l].copy())
-        ref = crf.batch_nll(per_em, per_tags).item()
-        got = crf.batch_nll_padded(em, tags, mask).item()
-        assert np.isclose(ref, got)
+        ref = np.mean([
+            reference.nll(crf, em[i, :l], tags[i, :l]).item()
+            for i, l in enumerate(lens)
+        ])
+        for fused in (True, False):
+            with fastpath(fused):
+                got = crf.batch_nll_padded(Tensor(em), tags, mask).item()
+            assert np.isclose(ref, got)
 
     def test_gradcheck(self, rng):
         crf = LinearChainCRF(3, rng)
@@ -215,23 +243,3 @@ class TestConstraints:
     def test_mask_shape_validation(self, rng):
         with pytest.raises(ValueError):
             LinearChainCRF(3, rng, transition_mask=np.ones((2, 2), dtype=bool))
-
-
-class TestMarginals:
-    def test_rows_sum_to_one(self, rng):
-        crf = LinearChainCRF(4, rng)
-        m = crf.marginals(Tensor(rng.normal(size=(6, 4))))
-        assert m.shape == (6, 4)
-        assert np.allclose(m.sum(axis=1), 1.0)
-
-    def test_matches_brute_force(self, rng):
-        crf = LinearChainCRF(2, rng)
-        em = rng.normal(size=(3, 2))
-        scores = brute_force_paths(crf, em)
-        values = np.array(list(scores.values()))
-        z = values.max() + np.log(np.exp(values - values.max()).sum())
-        expected = np.zeros((3, 2))
-        for path, s in scores.items():
-            for t, tag in enumerate(path):
-                expected[t, tag] += np.exp(s - z)
-        assert np.allclose(crf.marginals(Tensor(em)), expected)

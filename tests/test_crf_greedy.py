@@ -94,23 +94,38 @@ class _OpenDeadline:
 def _within(**kwargs):
     from repro.models.decoding import decode_emissions_within
 
-    def route(crf, emissions):
-        # A well-formed sentence first: the bad one must still raise.
-        good = np.zeros((3, crf.num_tags))
-        return decode_emissions_within(crf, [good, emissions], **kwargs)
-    return route
+    return lambda crf, scores, mask: decode_emissions_within(
+        crf, scores, mask, **kwargs)
+
+
+#: Routes over padded ``(B, L, T)`` scores and a ``(B, L)`` mask.
+PADDED_ROUTES = {
+    "viterbi-batch": lambda crf, s, m: crf.viterbi_decode_batch(s, m),
+    "greedy-batch": lambda crf, s, m: crf.argmax_decode_batch(s, m),
+    "within-batched": _within(),
+    "within-deadline": _within(deadline=_OpenDeadline()),
+    "within-breaker-open": _within(allow_viterbi=False),
+}
+
+
+def _behind_good_row(route):
+    """``route`` on ``(L, T)`` emissions padded into row 1 of a batch whose
+    row 0 is well formed: the bad row must still raise."""
+    def run(crf, emissions):
+        length, num_tags = emissions.shape
+        scores = np.zeros((2, max(length, 3), num_tags))
+        scores[1, :length] = emissions
+        mask = np.zeros(scores.shape[:2])
+        mask[0, :3] = 1.0
+        mask[1, :length] = 1.0
+        return route(crf, scores, mask)
+    return run
 
 
 DECODE_ROUTES = {
     "viterbi": lambda crf, e: crf.viterbi_decode(e),
     "greedy": lambda crf, e: crf.argmax_decode(e),
-    "viterbi-batch": lambda crf, e: crf.viterbi_decode_batch(
-        e[None], np.ones((1, e.shape[0]))),
-    "greedy-batch": lambda crf, e: crf.argmax_decode_batch(
-        e[None], np.ones((1, e.shape[0]))),
-    "within-batched": _within(),
-    "within-deadline": _within(deadline=_OpenDeadline()),
-    "within-breaker-open": _within(allow_viterbi=False),
+    **{name: _behind_good_row(route) for name, route in PADDED_ROUTES.items()},
 }
 
 
@@ -128,3 +143,12 @@ class TestMalformedEmissions:
         crf = LinearChainCRF(4, rng)
         with pytest.raises(ValueError, match="CRF expects 4"):
             DECODE_ROUTES[route](crf, np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("route", sorted(PADDED_ROUTES))
+    @pytest.mark.parametrize("mask", [[1, 0, 1], [1, 2, 0]],
+                             ids=["non-prefix", "non-binary"])
+    def test_malformed_mask_raises_value_error(self, rng, route, mask):
+        crf = LinearChainCRF(4, rng)
+        with pytest.raises(ValueError, match="mask must be 1 on a prefix"):
+            PADDED_ROUTES[route](crf, np.zeros((1, 3, 4)),
+                                 np.array([mask], dtype=float))

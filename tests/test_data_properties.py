@@ -18,7 +18,7 @@ words = st.text(
 def test_vocab_encode_roundtrip_for_known_tokens(tokens):
     vocab = Vocabulary(tokens)
     for tok in tokens:
-        idx = vocab.index(tok)
+        idx = vocab.encode([tok])[0]
         assert idx >= 2  # not PAD/UNK
         assert vocab.token(idx) == tok.lower()
 
@@ -28,7 +28,7 @@ def test_vocab_encode_roundtrip_for_known_tokens(tokens):
 def test_vocab_unknown_always_unk(tokens, probe):
     vocab = Vocabulary(tokens)
     if probe.lower() not in {t.lower() for t in tokens}:
-        assert vocab.index(probe) == vocab.unk_index
+        assert vocab.encode([probe])[0] == vocab.unk_index
 
 
 @settings(max_examples=50, deadline=None)

@@ -18,22 +18,22 @@ class TestVocabulary:
 
     def test_lowercasing(self):
         v = Vocabulary(["Apple"])
-        assert v.index("APPLE") == v.index("apple")
+        assert v.encode(["APPLE"])[0] == v.encode(["apple"])[0]
         assert "Apple" in v
 
     def test_cased_mode(self):
         v = Vocabulary(["Apple"], lowercase=False)
-        assert v.index("apple") == v.unk_index
-        assert v.index("Apple") != v.unk_index
+        assert v.encode(["apple"])[0] == v.unk_index
+        assert v.encode(["Apple"])[0] != v.unk_index
 
     def test_min_count_filters_singletons(self):
         v = Vocabulary(["a", "a", "b"], min_count=2)
-        assert v.index("a") != v.unk_index
-        assert v.index("b") == v.unk_index
+        assert v.encode(["a"])[0] != v.unk_index
+        assert v.encode(["b"])[0] == v.unk_index
 
     def test_unknown_maps_to_unk(self):
         v = Vocabulary(["x"])
-        assert v.index("zzz") == v.unk_index
+        assert v.encode(["zzz"])[0] == v.unk_index
 
     def test_encode(self):
         v = Vocabulary(["a", "b"])

@@ -46,7 +46,7 @@ class TestStaticEmbeddings:
         assert m.shape == (len(vocab), 8)
         assert np.allclose(m[vocab.pad_index], 0)
         assert np.linalg.norm(m[vocab.unk_index]) > 0
-        assert np.allclose(m[vocab.index("alpha")], emb.vector("alpha"))
+        assert np.allclose(m[vocab.encode(["alpha"])[0]], emb.vector("alpha"))
 
     def test_validation(self):
         with pytest.raises(ValueError):

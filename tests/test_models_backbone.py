@@ -66,9 +66,10 @@ class TestForward:
         model = build_model(tiny_vocabs, scheme)
         sents = tiny_dataset.sentences[:3]
         batch = model.encode(sents, scheme)
-        emissions = model.emissions(batch)
-        for e, s in zip(emissions, sents):
-            assert e.shape == (len(s), scheme.num_tags)
+        scores = model.emission_scores(batch)
+        max_len = max(len(s) for s in sents)
+        assert scores.shape == (len(sents), max_len, scheme.num_tags)
+        assert batch.mask.sum(axis=1).tolist() == [len(s) for s in sents]
 
     def test_loss_finite_and_positive(self, tiny_dataset, tiny_vocabs, scheme):
         model = build_model(tiny_vocabs, scheme)

@@ -7,6 +7,8 @@ from repro.data.sentence import Sentence
 from repro.data.tags import TagScheme
 from repro.embeddings import make_embedder
 from repro.models import LMTagger
+from repro.perf import fastpath
+from tests.reference import crf as reference
 
 
 @pytest.fixture
@@ -52,6 +54,28 @@ class TestLMTagger:
             for s, e, label in sent_spans:
                 assert label in scheme.labels
                 assert s < e
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "graph"])
+    def test_loss_is_per_sentence_mean(self, tagger, tiny_dataset, scheme,
+                                       fused):
+        """The padded loss equals the per-sentence oracle's mean NLL."""
+        sents = tiny_dataset.sentences[:4]
+        assert len({len(s) for s in sents}) > 1  # a ragged batch
+        singles = []
+        for s in sents:
+            scores, _mask = tagger.emissions([s])
+            tags = scheme.encode([sp.as_tuple() for sp in s.spans], len(s))
+            singles.append(reference.nll(tagger.crf, scores[0], tags).item())
+        with fastpath(fused):
+            loss = tagger.loss(sents, scheme).item()
+        assert np.isclose(loss, np.mean(singles))
+
+    def test_emissions_are_padded(self, tagger, tiny_dataset):
+        sents = tiny_dataset.sentences[:3]
+        scores, mask = tagger.emissions(sents)
+        lengths = [len(s) for s in sents]
+        assert scores.shape == (3, max(lengths), tagger.num_tags)
+        assert mask.sum(axis=1).tolist() == lengths
 
     def test_gradients_flow_to_head_only(self, tagger, tiny_dataset, scheme):
         loss = tagger.loss(tiny_dataset.sentences[:2], scheme)

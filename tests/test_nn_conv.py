@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, gradcheck
+from repro.autodiff import Tensor
 from repro.nn import CharCNN, Conv1d
+from tests.reference.gradcheck import gradcheck
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, grad, gradcheck
+from repro.autodiff import Tensor, grad
 from repro.nn import ConcatConditioner, FiLM
+from tests.reference.gradcheck import gradcheck
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, gradcheck, zeros
+from repro.autodiff import Tensor, zeros
 from repro.nn import BiLSTM, LSTM, LSTMCell
+from tests.reference.gradcheck import gradcheck
 
 
 @pytest.fixture

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, gradcheck
+from repro.autodiff import Tensor
 from repro.nn import SelfAttention, TransformerEncoder
 from repro.nn.transformer import sinusoidal_positions
+from tests.reference.gradcheck import gradcheck
 
 
 @pytest.fixture

@@ -453,10 +453,9 @@ class TestFastpathSwitches:
         crf = LinearChainCRF(num_tags, rng)
         from repro.models.decoding import FULL, decode_emissions_within
 
-        rows = [
-            Tensor(emissions[b, : lengths[b]])
+        paths, statuses = decode_emissions_within(crf, emissions, mask)
+        assert paths == [
+            crf.viterbi_decode(emissions[b, : lengths[b]])
             for b in range(emissions.shape[0])
         ]
-        paths, statuses = decode_emissions_within(crf, rows)
-        assert paths == [crf.viterbi_decode(row) for row in rows]
-        assert statuses == [FULL] * len(rows)
+        assert statuses == [FULL] * len(paths)

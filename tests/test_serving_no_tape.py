@@ -58,11 +58,11 @@ def served(scheme, model, phi):
     tagger = LMTagger(SimulatedContextualEmbedder("sim-lm", dim=16, seed=3),
                       scheme.num_tags, np.random.default_rng(5),
                       tag_names=scheme.tags)
-    recorded = tagger.emissions(SENTENCES)
-    assert all(e.requires_grad for e in recorded)
+    scores, mask = tagger.emissions(SENTENCES)
+    assert scores.requires_grad
     return [
         (model, (phi,), _recorded_paths(model, phi)),
-        (tagger, (), [tagger.crf.viterbi_decode(e.data) for e in recorded]),
+        (tagger, (), tagger.crf.viterbi_decode_batch(scores.data, mask)),
     ]
 
 
