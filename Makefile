@@ -38,6 +38,8 @@ verify-golden:
 verify-executor:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_perf_executor.py \
 	    tests/test_perf_supervisor.py \
+	    tests/test_meta_evaluate.py \
+	    tests/test_obs_integration.py::TestBehaviouralInvisibility \
 	    tests/test_golden_eval.py -q
 	PYTHONPATH=src $(PYTHON) -m repro chaos soak \
 	    --scenario executor-crash --scenario executor-hang \

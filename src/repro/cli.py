@@ -153,11 +153,28 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _executor_args_error(args: argparse.Namespace) -> str | None:
+    """The executor's own check of ``--workers`` and
+    ``--task-timeout-s``, run before any work; ``None`` when valid."""
+    from repro.perf import EpisodeExecutor
+
+    try:
+        EpisodeExecutor(workers=args.workers,
+                        task_timeout_s=args.task_timeout_s)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.meta import MethodConfig, build_method, evaluate_method
     from repro.meta.evaluate import fixed_episodes
     from repro.nn import CheckpointError, load_module, load_state
 
+    problem = _executor_args_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
         _state, metadata = load_state(args.checkpoint)
     except CheckpointError as exc:
@@ -193,7 +210,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     result = evaluate_method(adapter, episodes, workers=args.workers,
                              task_timeout_s=args.task_timeout_s)
     print(f"{method}: {result.ci} over {args.episodes} episodes")
-    if result.execution is not None and not result.execution.clean:
+    if not result.execution.clean:
         print(result.execution.render())
     if result.failed_episodes:
         print(f"warning: episodes {list(result.failed_episodes)} failed "
@@ -210,6 +227,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     if args.resume and not args.journal:
         print("error: --resume requires --journal", file=sys.stderr)
+        return 2
+    problem = _executor_args_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     kwargs = {}
     if args.journal:
@@ -229,7 +250,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             print(f"resuming from {args.journal}: "
                   f"{done} completed cells will be skipped")
         kwargs["journal"] = journal
-    if args.workers:
+    if args.workers != 1:
         if "workers" not in inspect.signature(EXPERIMENTS[args.name]).parameters:
             print(f"error: experiment {args.name!r} does not support "
                   f"--workers (no episode-parallel evaluation)",
@@ -630,14 +651,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-shot", type=int, default=1)
     p.add_argument("--episodes", type=int, default=50)
     p.add_argument("--holdout-types", type=int, default=5)
-    p.add_argument("--workers", type=int, default=0,
-                   help="episode-parallel evaluation: 0 = historical "
-                        "serial loop, >= 1 = deterministic per-episode "
-                        "seeding (same scores for any worker count), "
-                        "> 1 forks that many processes")
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes that score episodes: 1 = serial in "
+                        "this process, > 1 forks that many workers; "
+                        "every count gives the same scores")
     p.add_argument("--task-timeout-s", type=float, default=None,
-                   help="per-episode deadline under --workers; a hung "
-                        "episode is retried on a fresh worker")
+                   help="per-episode deadline under --workers > 1; a "
+                        "hung episode is retried on a fresh worker")
     _add_telemetry_arg(p)
     p.add_argument("checkpoint")
     p.set_defaults(func=cmd_evaluate)
@@ -655,9 +675,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "reused")
     p.add_argument("--resume", action="store_true",
                    help="require an existing --journal and continue it")
-    p.add_argument("--workers", type=int, default=0,
-                   help="episode-parallel evaluation worker count "
-                        "(composes with --journal resume)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes that score episodes (same scores for "
+                        "any count; composes with --journal resume)")
     p.add_argument("--task-timeout-s", type=float, default=None,
                    help="per-episode deadline under --workers (see "
                         "repro evaluate --task-timeout-s)")

@@ -31,6 +31,7 @@ from repro.data.sentence import Dataset
 from repro.data.vocab import CharVocabulary, Vocabulary
 from repro.eval.aggregate import ConfidenceInterval
 from repro.meta.evaluate import build_method, evaluate_method, fixed_episodes
+from repro.perf.executor import EpisodeExecutor
 from repro.reliability.journal import RunJournal
 from repro.reliability.policy import CellPolicy
 
@@ -39,9 +40,6 @@ TABLE_METHODS = (
     "GPT2", "Flair", "ELMo", "BERT", "XLNet",
     "FineTune", "ProtoNet", "MAML", "SNAIL", "FewNER",
 )
-
-#: Rows shown under "Dynamic Token Representation" in the tables.
-DYNAMIC_METHODS = frozenset({"GPT2", "Flair", "ELMo", "BERT", "XLNet"})
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,8 @@ class MethodResult:
     #: (``share_training_across_shots``); the shared training cost is
     #: recorded once, on the row that actually trained.
     reused_training: bool = False
-    #: Supervised-execution digest (:meth:`ExecutionReport.summary`) when
-    #: the cell was evaluated with ``workers >= 1``; ``None`` otherwise.
+    #: Supervised-execution digest (:meth:`ExecutionReport.summary`);
+    #: ``None`` only on a cell restored from a journal that predates it.
     execution: dict | None = None
 
     @property
@@ -114,14 +112,6 @@ class TableResult:
             if (f.method, f.setting, f.k_shot) == (method, setting, k_shot):
                 return f
         return None
-
-    def best_static_baseline(self, setting: str, k_shot: int) -> MethodResult:
-        candidates = [
-            c for c in self.cells
-            if c.setting == setting and c.k_shot == k_shot
-            and c.method not in DYNAMIC_METHODS and c.method != "FewNER"
-        ]
-        return max(candidates, key=lambda c: c.f1)
 
     def to_csv(self) -> str:
         """Machine-readable export: one row per *successful* cell.
@@ -238,7 +228,7 @@ def run_adaptation(
     journal: RunJournal | None = None,
     policy: CellPolicy | None = None,
     on_cell=None,
-    workers: int = 0,
+    workers: int = 1,
     task_timeout_s: float | None = None,
 ) -> TableResult:
     """Train and evaluate ``methods`` on every setting; fill a table.
@@ -251,16 +241,19 @@ def run_adaptation(
     ``journal`` makes the run resumable (completed cells are restored,
     not recomputed), ``policy`` configures retries and evaluation
     budgets, and ``on_cell`` is invoked after each newly completed cell
-    (a fault-injection and progress hook).  ``workers`` is forwarded to
-    :func:`~repro.meta.evaluate.evaluate_method` — ``>= 1`` switches
-    evaluation to the deterministic episode-parallel discipline (same
-    scores for any worker count), and composes with journal resume since
-    only whole completed cells are journalled.  ``task_timeout_s`` is
-    the per-episode deadline of that discipline; whenever self-healing
+    (a fault-injection and progress hook).  ``workers`` (the number of
+    processes that score episodes; the scores are the same for any
+    count) and ``task_timeout_s`` (the per-episode deadline) are
+    forwarded to :func:`~repro.meta.evaluate.evaluate_method`, and are
+    checked before any training.  Both compose with journal resume since
+    only whole completed cells are journalled.  Whenever self-healing
     had to act (retries, quarantines, pool restarts, degraded fallback,
     abandoned episodes), the digest is recorded on the cell, appended to
     :attr:`TableResult.execution_notes`, and journalled as a ``note``.
     """
+    # The executor's own argument check, run here so that a bad value
+    # (e.g. workers=0) fails the call, not every cell after training.
+    EpisodeExecutor(workers=workers, task_timeout_s=task_timeout_s)
     policy = policy or CellPolicy()
     result = TableResult(
         title=title, settings=[s.name for s in settings], shots=scale.shots
@@ -330,8 +323,7 @@ def run_adaptation(
                         train_seconds=0.0 if reused else train_s,
                         eval_seconds=time.perf_counter() - t0,
                         reused_training=reused,
-                        execution=(None if execution is None
-                                   else execution.summary()),
+                        execution=execution.summary(),
                     )
                     result.cells.append(cell)
                     pending.remove(k_eval)
@@ -339,7 +331,7 @@ def run_adaptation(
                              setting=setting.name, k_shot=k_eval,
                              f1=cell.ci.mean, half_width=cell.ci.half_width,
                              reused_training=reused)
-                    if execution is not None and not execution.clean:
+                    if not execution.clean:
                         note = {
                             "method": method_name,
                             "setting": setting.name,

@@ -60,7 +60,7 @@ def _fit_counts(counts: tuple[int, int, int], available: int) -> tuple[int, int,
 
 def run(scale, methods: tuple[str, ...] = TABLE_METHODS,
         seed: int = 0, journal=None, policy=None,
-        workers: int = 0,
+        workers: int = 1,
         task_timeout_s: float | None = None) -> TableResult:
     settings = build_settings(scale, seed=seed)
     return run_adaptation(

@@ -55,7 +55,7 @@ def build_settings(scale, seed: int = 0) -> list[AdaptationSetting]:
 
 def run(scale, methods: tuple[str, ...] = TABLE_METHODS,
         seed: int = 0, journal=None, policy=None,
-        workers: int = 0,
+        workers: int = 1,
         task_timeout_s: float | None = None) -> TableResult:
     settings = build_settings(scale, seed=seed)
     return run_adaptation(

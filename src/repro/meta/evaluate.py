@@ -52,12 +52,12 @@ class EvaluationResult:
     method: str
     ci: ConfidenceInterval
     episode_scores: tuple[float, ...]
+    #: Supervised-execution accounting: retries, quarantines, pool
+    #: restarts, per-episode task records.
+    execution: "ExecutionReport"
     #: True when a wall-clock budget stopped evaluation early; the CI
     #: then covers only the episodes completed before the deadline.
     truncated: bool = False
-    #: Supervised-execution accounting (retries, quarantines, pool
-    #: restarts) when ``workers >= 1``; ``None`` on the legacy stream.
-    execution: "ExecutionReport | None" = None
     #: Indices of episodes abandoned after retry + quarantine (their
     #: scores are excluded from the CI) — the ``ERR`` cells of one
     #: evaluation.  Always empty unless episodes are genuinely poison.
@@ -110,7 +110,7 @@ def _validate_score(value, index: int) -> str | None:
 def evaluate_method(adapter: Adapter, episodes: list[Episode],
                     budget_seconds: float | None = None,
                     min_episodes: int = 1,
-                    workers: int = 0,
+                    workers: int = 1,
                     fast: bool = False,
                     task_timeout_s: float | None = None,
                     max_attempts: int = 3,
@@ -120,44 +120,41 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
     Matching §4.1.1: every episode contributes one micro-F1; the result
     is the mean with a ``1.96 * sem`` half-width.
 
-    With ``budget_seconds`` the loop degrades gracefully: once the
-    wall-clock budget is exhausted (and at least ``min_episodes`` are
-    done) evaluation stops and the CI covers the completed episodes,
+    Each episode first resets the adapter's RNG to a state derived only
+    from the method seed and the episode index, so an episode's score
+    does not depend on the episodes scored before it, on a previous
+    call, or on the worker count.  All episodes go to one
+    :meth:`repro.perf.EpisodeExecutor.run` call: ``workers`` is the
+    number of processes that score episodes (``1``, the default, scores
+    them serially in this process; ``N > 1`` forks at most N workers
+    and stops them before returning).  ``workers=0`` is rejected with a
+    :class:`ValueError`, as is an empty ``episodes`` list.
+
+    With ``budget_seconds`` evaluation degrades gracefully: an episode
+    at or past ``min_episodes`` whose first attempt would start after
+    the deadline is skipped, retries of episodes that already started
+    still run, and the CI covers the completed prefix of ``episodes``,
     flagged via :attr:`EvaluationResult.truncated`.
-
-    ``workers`` selects the execution discipline:
-
-    * ``0`` (default) — the historical serial loop: episodes share the
-      adapter's RNG stream sequentially, exactly as before;
-    * ``>= 1`` — episode-parallel discipline: each episode first resets
-      the adapter's RNG to a state derived only from the method seed and
-      the episode index, so results are identical for *any* worker count
-      (``workers=1`` runs serially, ``workers=N`` forks N processes via
-      :class:`repro.perf.EpisodeExecutor`; both produce the same
-      scores).  All episodes go to one
-      :meth:`~repro.perf.EpisodeExecutor.run` call, so ``workers=N``
-      forks at most N workers per evaluation.  Under a budget, an
-      episode at or past ``min_episodes`` whose first attempt would
-      start after the deadline is skipped, retries of episodes that
-      already started still run, and the scores are those of the
-      completed prefix of ``episodes`` — the same rule for every
-      worker count.
 
     ``fast`` wraps each adaptation in the fused CRF NLL fast path
     (:func:`repro.perf.fastpath.fastpath`).  That path is on by default
     and bit-identical to the graph NLL, so ``fast`` changes no number;
     it stays for the callers that pass it.
 
-    With ``workers >= 1`` the run is *self-healing*: episodes execute
-    under supervised forked workers with per-task deadlines
-    (``task_timeout_s``), up to ``max_attempts`` deterministic retries
-    per episode (re-seeding makes a retry bit-identical to the first
-    attempt), score validation, and poison-episode quarantine.  An
-    episode that fails even its guarded serial re-run is excluded from
-    the CI and listed in :attr:`EvaluationResult.failed_episodes`;
-    everything self-healing had to do is accounted for in
-    :attr:`EvaluationResult.execution`.  ``fault_injector`` is the
-    test-only chaos hook handed to every worker.
+    The run is *self-healing*: forked workers run under per-task
+    deadlines (``task_timeout_s``), up to ``max_attempts``
+    deterministic retries per episode (re-seeding makes a retry
+    bit-identical to the first attempt), score validation, and
+    poison-episode quarantine.  An episode that fails for good (its
+    guarded serial run, or its only attempt at ``workers=1``) is
+    excluded from the CI and listed in
+    :attr:`EvaluationResult.failed_episodes`; a :class:`RuntimeError`
+    is raised when every episode fails.  Everything self-healing had
+    to do is accounted for in :attr:`EvaluationResult.execution`.
+    In-episode telemetry is muted at every worker count; the
+    supervisor emits one ``episode`` event per task record instead.
+    ``fault_injector`` is the test-only chaos hook handed to every
+    worker.
     """
     import contextlib
     import time
@@ -166,45 +163,8 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
     from repro.perf.executor import ERROR, EpisodeExecutor
     from repro.perf.fastpath import fastpath
 
-    def score_episode(episode: Episode, index: int) -> float:
-        if workers >= 1:
-            _reseed_for_episode(adapter, index)
-        context = fastpath() if fast else contextlib.nullcontext()
-        with context:
-            predictions = adapter.predict_episode(episode)
-        gold = [
-            [span.as_tuple() for span in sent.spans] for sent in episode.query
-        ]
-        return episode_f1(gold, predictions)
-
-    deadline = (
-        None if budget_seconds is None
-        else time.monotonic() + budget_seconds
-    )
-
-    if workers == 0:
-        # Legacy serial stream: episodes share the adapter's RNG
-        # sequentially; any exception propagates to the caller.
-        scores: list[float] = []
-        truncated = False
-        with obs.span("evaluate", method=adapter.name,
-                      episodes=len(episodes), workers=workers):
-            for i, episode in enumerate(episodes):
-                if (deadline is not None and len(scores) >= min_episodes
-                        and time.monotonic() >= deadline):
-                    truncated = True
-                    break
-                with obs.span("episode", index=i):
-                    scores.append(score_episode(episode, i))
-        return EvaluationResult(
-            method=adapter.name,
-            ci=aggregate_f1(scores),
-            episode_scores=tuple(scores),
-            truncated=truncated,
-        )
-
-    # Supervised episode-parallel discipline (workers >= 1): one set of
-    # workers for all episodes, with the deadline applied at dispatch.
+    if not episodes:
+        raise ValueError(f"no episodes to evaluate ({adapter.name})")
     executor = EpisodeExecutor(
         workers=workers, task_timeout_s=task_timeout_s,
         max_attempts=max_attempts, fault_injector=fault_injector,
@@ -212,13 +172,22 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
     )
 
     def work(episode: Episode, index: int) -> float:
+        _reseed_for_episode(adapter, index)
+        context = fastpath() if fast else contextlib.nullcontext()
         # Telemetry is muted on the supervisor-side legs (workers=1
         # serial, quarantine, degraded fallback) so the event stream is
         # identical for any worker count: forked children are blocked by
         # the pid guard, and this mirrors that in-process.
-        with obs.suspended():
-            return score_episode(episode, index)
+        with obs.suspended(), context:
+            predictions = adapter.predict_episode(episode)
+            gold = [[span.as_tuple() for span in sent.spans]
+                    for sent in episode.query]
+            return episode_f1(gold, predictions)
 
+    deadline = (
+        None if budget_seconds is None
+        else time.monotonic() + budget_seconds
+    )
     with obs.span("evaluate", method=adapter.name,
                   episodes=len(episodes), workers=workers):
         execution = executor.run(work, episodes, deadline=deadline,
@@ -234,9 +203,9 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
             f"{tasks[failed[0]].errors[-1] if failed else 'none run'}"
         )
     if obs.enabled():
-        # Per-episode telemetry on the parallel path comes from the
-        # supervisor-side task records (deterministic modulo wall_s),
-        # never from inside workers.
+        # Per-episode telemetry comes from the supervisor-side task
+        # records (deterministic modulo wall_s), never from inside an
+        # episode.
         for record in tasks:
             obs.emit("episode", index=record.index, outcome=record.outcome,
                      attempts=record.attempts,
@@ -252,8 +221,8 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
         method=adapter.name,
         ci=aggregate_f1(scores),
         episode_scores=tuple(scores),
-        truncated=len(tasks) < len(episodes),
         execution=execution,
+        truncated=len(tasks) < len(episodes),
         failed_episodes=failed,
     )
 

@@ -166,8 +166,8 @@ def telemetry_session(path: str | None = None, clock=time.perf_counter):
 def suspended():
     """Mute the active session inside the block (no-op when none).
 
-    Used around work that must not record — e.g. the serial in-process
-    leg of ``evaluate_method``'s parallel path, so the event stream is
+    Used around work that must not record — e.g. an episode that
+    ``evaluate_method`` scores in-process, so the event stream is
     identical whether episodes run in-process or in forked workers.
     """
     t = _ACTIVE

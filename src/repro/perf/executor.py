@@ -34,7 +34,7 @@ worker processes.  Design constraints, in order:
   skipped (retries of started indices still run), and the report
   covers exactly the completed prefix of the items.
 * **Graceful degradation** — when fork is unavailable (platform or
-  nesting) or ``workers <= 1``, the same work runs serially in the same
+  nesting) or ``workers == 1``, the same work runs serially in the same
   order.  If supervision itself fails mid-flight, the failure reason is
   recorded on the report, a :class:`UserWarning` is emitted, and *only
   the indices without results* are re-run serially.
@@ -211,13 +211,17 @@ class EpisodeExecutor:
     failed attempt is retried immediately.
     """
 
-    def __init__(self, workers: int = 0, start_method: str = "fork",
+    def __init__(self, workers: int = 1, start_method: str = "fork",
                  task_timeout_s: float | None = None,
                  max_attempts: int = 3,
                  fault_injector=None,
                  validate_fn: Callable[[object, int], str | None] | None = None):
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
+        if workers < 1:
+            raise ValueError(
+                f"workers must be >= 1 (1 runs serially in this process; "
+                f"the workers=0 shared-RNG episode stream was retired), "
+                f"got {workers}"
+            )
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         if task_timeout_s is not None and task_timeout_s <= 0:
@@ -310,7 +314,7 @@ class EpisodeExecutor:
                     len(records))
 
     # ------------------------------------------------------------------
-    # Serial execution (workers <= 1, quarantine, degraded fallback)
+    # Serial execution (workers == 1, quarantine, degraded fallback)
     # ------------------------------------------------------------------
     def _run_serial(self, work_fn, items, records, results, indices,
                     deadline, min_episodes,

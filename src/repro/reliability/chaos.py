@@ -338,7 +338,7 @@ def _run_episode_eval_crash(seed, check):
                            scale.n_way, scale.method_config)
     episodes = fixed_episodes(test, scale.n_way, 1, 4, seed=5,
                               query_size=scale.query_size)
-    baseline = evaluate_method(adapter, episodes, workers=0)
+    baseline = evaluate_method(adapter, episodes)
     injector = FaultInjector(worker_crash_at=(0,), worker_raise_at=(1,),
                              worker_seed=seed)
     faulted = evaluate_method(
@@ -351,20 +351,18 @@ def _run_episode_eval_crash(seed, check):
           f"serial {baseline.episode_scores}")
     check("no-failed-episodes", not faulted.failed_episodes,
           f"failed episodes {faulted.failed_episodes}")
-    check("execution-report-present", faulted.execution is not None)
     execution = faulted.execution
-    if execution is not None:
-        check("every-episode-accounted",
-              sorted(t.index for t in execution.tasks)
-              == list(range(len(episodes))),
-              f"task indices {sorted(t.index for t in execution.tasks)}")
-        if execution.mode == "parallel":
-            check("faults-retried", bool(execution.retried_indices),
-                  "no retries despite scheduled crash/raise faults")
+    check("every-episode-accounted",
+          sorted(t.index for t in execution.tasks)
+          == list(range(len(episodes))),
+          f"task indices {sorted(t.index for t in execution.tasks)}")
+    if execution.mode == "parallel":
+        check("faults-retried", bool(execution.retried_indices),
+              "no retries despite scheduled crash/raise faults")
     return {
         "episodes": len(episodes),
         "f1": baseline.f1,
-        "execution": execution.summary() if execution is not None else None,
+        "execution": execution.summary(),
     }
 
 
@@ -428,9 +426,9 @@ def _run_recurrent_kernel_parity(seed, check):
                            scale.n_way, scale.method_config)
     episodes = fixed_episodes(test, scale.n_way, 1, 2, seed=7,
                               query_size=scale.query_size)
-    fused_eval = evaluate_method(adapter, episodes, workers=0)
+    fused_eval = evaluate_method(adapter, episodes)
     with recurrent_kernel(False):
-        tape_eval = evaluate_method(adapter, episodes, workers=0)
+        tape_eval = evaluate_method(adapter, episodes)
     check("episode-scores-bit-identical",
           fused_eval.episode_scores == tape_eval.episode_scores,
           f"fused {fused_eval.episode_scores} != "

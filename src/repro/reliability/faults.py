@@ -8,8 +8,8 @@ Production code never imports this module; tests hand a
   test can corrupt gradients with NaN at exactly iteration *k* or raise
   mid-``fit``;
 * :func:`~repro.experiments.harness.run_adaptation` calls its
-  ``on_cell`` hook after each completed cell, so
-  :meth:`FaultInjector.cell_hook` can simulate a kill between cells;
+  ``on_cell`` hook after each completed cell, so a hook that raises
+  :class:`SimulatedCrash` simulates a kill between cells;
 * :meth:`FaultInjector.truncate_file` damages a checkpoint on disk the
   way a crash mid-write (pre-atomic-rename) or a torn copy would;
 * the supervised executor (:mod:`repro.perf.executor`) consults
@@ -257,21 +257,6 @@ class FaultInjector:
             [None, "str"],                        # wrong element type
             [["nested"], "str"],                  # wrong element type
         ]
-
-    # ------------------------------------------------------------------
-    # Harness hook
-    # ------------------------------------------------------------------
-    @staticmethod
-    def kill_after_cells(n: int):
-        """An ``on_cell`` callback that simulates a kill after ``n`` cells."""
-        counter = {"cells": 0}
-
-        def hook(_cell) -> None:
-            counter["cells"] += 1
-            if counter["cells"] >= n:
-                raise SimulatedCrash(f"simulated kill after {n} cells")
-
-        return hook
 
     # ------------------------------------------------------------------
     # Filesystem faults

@@ -13,7 +13,6 @@ from repro.data.synthetic import generate_dataset
 from repro.experiments.configs import SCALES
 from repro.experiments.harness import (
     AdaptationSetting,
-    MethodResult,
     TableResult,
     run_adaptation,
 )
@@ -89,25 +88,3 @@ class TestRunAdaptation:
         assert "Table X" in text and "FewNER" in text
         with pytest.raises(KeyError):
             result.cell("FewNER", "toy", 99)
-
-    def test_best_static_baseline_excludes_dynamic(self, patched_build,
-                                                   setting):
-        scale = SCALES["smoke"]
-        result = run_adaptation(
-            "t", [setting], ("BERT", "FineTune", "FewNER"), scale
-        )
-        # Force distinct scores to verify selection logic.
-        new_cells = []
-        for c in result.cells:
-            boost = {"BERT": 0.9, "FineTune": 0.5, "FewNER": 0.7}[c.method]
-            new_cells.append(
-                MethodResult(
-                    c.method, c.setting, c.k_shot,
-                    ConfidenceInterval(boost, 0.0, 1),
-                    c.train_seconds, c.eval_seconds,
-                )
-            )
-        result.cells = new_cells
-        best = result.best_static_baseline("toy", scale.shots[0])
-        # BERT (dynamic) and FewNER (ours) are excluded.
-        assert best.method == "FineTune"

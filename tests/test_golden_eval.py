@@ -3,7 +3,8 @@
 Each method runs a short seeded ``fit`` and is then evaluated on fixed
 smoke episodes at ``workers=1`` (serial) and ``workers=2`` (forked
 pool).  Every per-episode micro-F1 must equal the value stored as a
-float hex string in ``tests/golden/eval_scores.json``.  The ``fit``
+float hex string in ``tests/golden/eval_scores.json``; so must those
+of two back-to-back calls with default arguments.  The ``fit``
 matters: untrained, most baselines score 0.0 on every episode, and a
 zero survives most bugs.  The per-method overrides below are chosen so
 that each method scores non-zero on at least one episode.
@@ -165,6 +166,18 @@ def test_fit_matches_train_pins(corpus, fits, name):
 def test_episode_scores_match_golden(corpus, fits, name):
     adapter = fitted(corpus, name, fits)[0]
     assert episode_scores(corpus, adapter) == _golden()[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_default_call_matches_serial_golden_and_repeats(corpus, fits, name):
+    """``evaluate_method`` with default arguments scores the
+    ``workers=1`` golden entry, and a second call on the same adapter
+    returns the same bytes: the episodes do not share one RNG stream."""
+    adapter = fitted(corpus, name, fits)[0]
+    calls = [[float(score).hex() for score in
+              evaluate_method(adapter, corpus[3]).episode_scores]
+             for _ in range(2)]
+    assert calls == [_golden()[name]["workers=1"]] * 2
 
 
 def _write(path, command, key, values):

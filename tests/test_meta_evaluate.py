@@ -11,6 +11,7 @@ from repro.meta.evaluate import (
     evaluate_method,
     fixed_episodes,
 )
+from repro.perf.executor import ExecutionReport
 
 
 class _ConstantAdapter:
@@ -62,9 +63,17 @@ class TestEvaluateMethod:
 
     def test_result_rendering(self):
         result = EvaluationResult(
-            "X", ConfidenceInterval(0.2374, 0.0065, 1000), (0.2,)
+            "X", ConfidenceInterval(0.2374, 0.0065, 1000), (0.2,),
+            ExecutionReport(mode="serial", workers=1),
         )
         assert str(result) == "X: 23.74 ± 0.65%"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_episode_list_raises_value_error(self, workers):
+        """No episodes is one caller error at every worker count, raised
+        before any executor runs."""
+        with pytest.raises(ValueError, match="no episodes"):
+            evaluate_method(_ConstantAdapter(), [], workers=workers)
 
 
 class TestMethodRegistry:

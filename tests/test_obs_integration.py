@@ -86,7 +86,8 @@ class TestBehaviouralInvisibility:
     def test_scores_bit_identical_with_telemetry_on_or_off(
             self, patched_build, setting, tmp_path):
         bare = run_adaptation("t", [setting], ("A",), SCALES["smoke"])
-        traced = run_traced(tmp_path / "run.jsonl", setting, workers=0)
+        with obs.telemetry_session(str(tmp_path / "run.jsonl")):
+            traced = run_adaptation("t", [setting], ("A",), SCALES["smoke"])
         assert cells_by_key(traced) == cells_by_key(bare)
 
     def test_event_stream_identical_across_worker_counts(
@@ -98,18 +99,25 @@ class TestBehaviouralInvisibility:
         stream_two = normalized(load_events(str(tmp_path / "w2.jsonl")))
         assert stream_one == stream_two
 
-    def test_serial_run_produces_phase_spans_and_cache_counters(
+    def test_default_run_records_evaluate_and_train_spans_and_episode_events(
             self, patched_build, setting, tmp_path):
-        path = tmp_path / "serial.jsonl"
-        run_traced(path, setting, workers=0)
+        """A default run has the one contract of every worker count:
+        ``evaluate`` and ``train`` spans, one supervisor-side ``episode``
+        event per episode, executor counters, and no span from inside
+        an episode."""
+        path = tmp_path / "default.jsonl"
+        with obs.telemetry_session(str(path)):
+            run_adaptation("t", [setting], ("A",), SCALES["smoke"])
         records = load_events(str(path))
         names = {r.get("name") for r in records if r.get("kind") == "span"}
-        assert {"evaluate", "episode", "train"} <= names
+        assert {"evaluate", "train"} <= names
+        assert "episode" not in names
         (metrics,) = [r for r in records if r.get("kind") == "metrics"]
-        # DeterministicAdapter never adapts, so no encode/inner-loop —
-        # but the executor/cache counters must exist on the parallel
-        # path only; the serial path records per-episode spans instead.
-        assert "executor.episodes" not in metrics["counters"]
+        episodes = metrics["counters"]["executor.episodes"]
+        assert episodes == 2 * SCALES["smoke"].eval_episodes  # two shots
+        episode_events = [r for r in records if r.get("kind") == "event"
+                          and r.get("name") == "episode"]
+        assert len(episode_events) == episodes
 
     def test_parallel_run_records_executor_counters(
             self, patched_build, setting, tmp_path):

@@ -15,7 +15,7 @@ from repro.perf import EpisodeExecutor
 
 class TestEpisodeExecutor:
     def test_serial_map_ordered(self):
-        ex = EpisodeExecutor(workers=0)
+        ex = EpisodeExecutor(workers=1)
         assert ex.run(lambda item, i: item * 10 + i, [1, 2, 3]).results \
             == [10, 21, 32]
 
@@ -166,14 +166,13 @@ class TestParallelEvaluationParity:
         assert last_only.episode_scores == again.episode_scores
         assert len(full.episode_scores) == 3
 
-    def test_workers_zero_preserves_legacy_stream(self, fixture):
-        """workers=0 keeps the historical shared-RNG behaviour: two
-        consecutive runs consume the stream and may differ, but a reseeded
-        adapter reproduces the first run exactly."""
-        episodes = fixture[2]
-        first = evaluate_method(_adapter(fixture), episodes)
-        second = evaluate_method(_adapter(fixture), episodes)
-        assert first.episode_scores == second.episode_scores
+    def test_workers_zero_raises_value_error(self, fixture):
+        """The shared-RNG ``workers=0`` episode stream is retired: the
+        executor rejects it, and so does ``evaluate_method``."""
+        with pytest.raises(ValueError, match="workers=0"):
+            EpisodeExecutor(workers=0)
+        with pytest.raises(ValueError, match="workers=0"):
+            evaluate_method(_adapter(fixture), fixture[2], workers=0)
 
     def test_budget_with_parallel_workers(self, fixture):
         episodes = fixture[2] * 4  # 12 episodes

@@ -167,7 +167,7 @@ class TestQuarantine:
                 raise ValueError("bad episode 1")
             return item
 
-        ex = EpisodeExecutor(workers=0, max_attempts=1)
+        ex = EpisodeExecutor(workers=1, max_attempts=1)
         report = ex.run(poisoned, [10, 20, 30])  # must not raise
         assert report.results == [10, None, 30]
         assert report.failed_indices == (1,)
@@ -211,7 +211,7 @@ class TestDegradedFallback:
     def test_report_summary_json_ready(self):
         import json
 
-        ex = EpisodeExecutor(workers=0)
+        ex = EpisodeExecutor(workers=1)
         report = ex.run(_work, list(range(3)))
         summary = report.summary()
         assert json.loads(json.dumps(summary)) == summary
@@ -324,8 +324,8 @@ class TestAcceptanceSoak:
     def test_evaluate_method_parity_under_faults(self, many_episodes):
         """evaluate_method(200 episodes, workers=4, crash p=0.2,
         hang p=0.1) completes without aborting and returns scores
-        bit-identical to the fault-free workers=0 run."""
-        baseline = evaluate_method(_HalfOracle(), many_episodes, workers=0)
+        bit-identical to the fault-free serial run."""
+        baseline = evaluate_method(_HalfOracle(), many_episodes)
         assert len(set(baseline.episode_scores)) > 1  # genuinely varied
         injector = FaultInjector(worker_crash_p=0.2, worker_hang_p=0.1,
                                  worker_seed=0, worker_hang_s=5.0)

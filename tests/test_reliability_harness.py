@@ -12,8 +12,20 @@ from repro.experiments.harness import (
     run_adaptation,
 )
 from repro.meta.evaluate import evaluate_method
-from repro.reliability import CellPolicy, FaultInjector, RunJournal, SimulatedCrash
+from repro.reliability import CellPolicy, RunJournal, SimulatedCrash
 from repro.reliability.journal import JournalMismatch
+
+
+def kill_after_cells(n: int):
+    """An ``on_cell`` callback that simulates a kill after ``n`` cells."""
+    counter = {"cells": 0}
+
+    def hook(_cell) -> None:
+        counter["cells"] += 1
+        if counter["cells"] >= n:
+            raise SimulatedCrash(f"simulated kill after {n} cells")
+
+    return hook
 
 
 class DeterministicAdapter:
@@ -94,7 +106,7 @@ class TestKillAndResume:
             run_adaptation(
                 "t", [setting], methods, scale,
                 journal=RunJournal(journal_path),
-                on_cell=FaultInjector.kill_after_cells(3),
+                on_cell=kill_after_cells(3),
             )
         done_before = len(RunJournal(journal_path).completed_cells())
         assert done_before == 3
